@@ -9,7 +9,8 @@
 //! [`ExecPolicy::partition`]:
 //!
 //! - **[`Partition::OwnerComputes`]** — the target is cut into contiguous
-//!   ranges balanced by item count (a histogram pass over the keys), and
+//!   ranges balanced by item count (split points by selection over the
+//!   keys when they are sparse in the target, else by a histogram), and
 //!   every stream item is routed to the worker that *owns* its target index.
 //!   Workers write disjoint `target` slices directly: no privatization, no
 //!   merge phase, and per-target-index update order is preserved, so results
@@ -320,34 +321,18 @@ impl ExecPlan {
     }
 
     fn plan_owner_computes(keys: &[i32], target_len: usize, n_tasks: usize) -> ExecPlan {
-        // Histogram of items per target index, then contiguous target
-        // ranges balanced by item count.
-        let mut counts = vec![0u32; target_len];
-        for &k in keys {
-            assert!(
-                k >= 0 && (k as usize) < target_len,
-                "key {k} out of bounds for target of length {target_len}"
-            );
-            counts[k as usize] += 1;
-        }
-        let mut bounds = Vec::with_capacity(n_tasks + 1);
-        bounds.push(0usize);
-        let mut cum = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            cum += u64::from(c);
-            // Close ranges whose item quota is met; a pathologically hot
-            // index can satisfy several quotas at once, leaving later
-            // tasks empty — correct, if unbalanced (use Privatized there).
-            while bounds.len() < n_tasks
-                && cum * n_tasks as u64 >= keys.len() as u64 * bounds.len() as u64
-            {
-                bounds.push(i + 1);
-            }
-        }
-        while bounds.len() < n_tasks {
-            bounds.push(target_len);
-        }
-        bounds.push(target_len);
+        // Contiguous target ranges balanced by item count, with the same
+        // bounds either way. Selection costs O(keys · tasks) and never
+        // touches the target, the histogram O(target + keys); selection
+        // wins while the stream is sparse in the target (a served slice
+        // into a large table), and loses on cache-resident targets once
+        // keys · tasks nears half the target (dense wavefront rounds,
+        // PageRank's edge list).
+        let bounds = if 2 * keys.len() * n_tasks < target_len {
+            owner_bounds_by_selection(keys, target_len, n_tasks)
+        } else {
+            owner_bounds_by_histogram(keys, target_len, n_tasks)
+        };
 
         // Route each stream position to its owning task, stream-ordered
         // within a task (counting sort by task).
@@ -451,6 +436,73 @@ impl ExecPlan {
         let task = &self.tasks[t];
         TaskCtx { task: t, items: self.items(t), lo: task.lo, hi: task.hi, private }
     }
+}
+
+/// The slot `k` names in a target of `target_len` slots.
+///
+/// # Panics
+///
+/// Panics if `k` is negative or out of bounds.
+#[inline]
+fn check_key(k: i32, target_len: usize) -> usize {
+    assert!(
+        k >= 0 && (k as usize) < target_len,
+        "key {k} out of bounds for target of length {target_len}"
+    );
+    k as usize
+}
+
+/// Owner-computes task bounds (`n_tasks + 1` entries, `0` first and
+/// `target_len` last) from a histogram of `keys`: bound `j` is one past the
+/// first index at which the running item count reaches `ceil(n·j/n_tasks)`.
+/// A pathologically hot index can meet several quotas at once, leaving
+/// later tasks empty — correct, if unbalanced (use Privatized there).
+/// Costs O(target_len + keys); panics on an out-of-bounds key.
+fn owner_bounds_by_histogram(keys: &[i32], target_len: usize, n_tasks: usize) -> Vec<usize> {
+    let mut counts = vec![0u32; target_len];
+    for &k in keys {
+        counts[check_key(k, target_len)] += 1;
+    }
+    let mut bounds = Vec::with_capacity(n_tasks + 1);
+    bounds.push(0usize);
+    let mut cum = 0u64;
+    for (i, &c) in counts.iter().enumerate() {
+        cum += u64::from(c);
+        while bounds.len() < n_tasks
+            && cum * n_tasks as u64 >= keys.len() as u64 * bounds.len() as u64
+        {
+            bounds.push(i + 1);
+        }
+    }
+    while bounds.len() < n_tasks {
+        bounds.push(target_len);
+    }
+    bounds.push(target_len);
+    bounds
+}
+
+/// The histogram rule's bounds by selection, in O(keys · n_tasks) on a
+/// copy of the keys: the running count first reaches `m = ceil(n·j/n_tasks)`
+/// at the `m`-th smallest key, so bound `j` is that key plus one. Needs
+/// `keys.len() >= n_tasks` (so every `m >= 1`), which planning guarantees;
+/// panics on an out-of-bounds key.
+fn owner_bounds_by_selection(keys: &[i32], target_len: usize, n_tasks: usize) -> Vec<usize> {
+    let n = keys.len() as u64;
+    let mut sorted: Vec<i32> = keys.iter().map(|&k| check_key(k, target_len) as i32).collect();
+    let mut bounds = Vec::with_capacity(n_tasks + 1);
+    bounds.push(0usize);
+    // Ranks rise with `j`, and after a selection everything from its rank
+    // on is ≥ the selected key, so each selection searches only that
+    // suffix.
+    let mut from = 0usize;
+    for j in 1..n_tasks as u64 {
+        let rank = (n * j).div_ceil(n_tasks as u64) as usize - 1;
+        let (_, kth, _) = sorted[from..].select_nth_unstable(rank - from);
+        bounds.push(*kth as usize + 1);
+        from = rank;
+    }
+    bounds.push(target_len);
+    bounds
 }
 
 /// Runs `body` once per plan task against a mutable view of `target`.
@@ -1107,5 +1159,46 @@ mod tests {
             }
         }
         assert_eq!(total.iter().sum::<i64>(), 2048 * 6);
+    }
+
+    #[test]
+    fn selection_bounds_equal_the_histogram_rule() {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5e1ec7);
+        let target_len = 1 << 12;
+        for n_tasks in 2..=6usize {
+            for n in [2 * n_tasks, 2 * n_tasks + 1, 97, 1000, target_len - 1] {
+                let uniform: Vec<i32> =
+                    (0..n).map(|_| rng.gen_range(0..target_len as i32)).collect();
+                // Skewed: squaring a uniform draw piles keys near zero.
+                let skewed: Vec<i32> = (0..n)
+                    .map(|_| {
+                        let u: f64 = rng.gen_range(0.0..1.0);
+                        (u * u * target_len as f64) as i32
+                    })
+                    .collect();
+                let hot = rng.gen_range(0..target_len as i32);
+                // One hot key (anywhere, first slot, last slot) meets every
+                // quota at once and leaves every later task empty.
+                let key_sets =
+                    [uniform, skewed, vec![hot; n], vec![0; n], vec![target_len as i32 - 1; n]];
+                for keys in &key_sets {
+                    let oracle = owner_bounds_by_histogram(keys, target_len, n_tasks);
+                    assert_eq!(
+                        owner_bounds_by_selection(keys, target_len, n_tasks),
+                        oracle,
+                        "n_tasks {n_tasks}, {n} keys"
+                    );
+                    assert_eq!(oracle.len(), n_tasks + 1);
+                }
+            }
+        }
+        // The empty trailing tasks survive planning and execution.
+        let keys = vec![(target_len - 1) as i32; 64];
+        let plan = ExecPlan::new(&keys, target_len, &ExecPolicy::with_threads(4));
+        assert_eq!(plan.num_tasks(), 4);
+        assert!((1..4).all(|t| plan.items(t).is_empty()), "every item lands in task 0");
+        let mut target = vec![0i32; target_len];
+        execute::<i32, Sum>(&mut target, &keys, &vec![1; 64], &ExecPolicy::with_threads(4));
+        assert_eq!(target[target_len - 1], 64);
     }
 }

@@ -96,7 +96,8 @@ impl Crc32 {
     ///
     /// Uses slicing-by-8: each iteration folds eight bytes through eight
     /// precomputed tables, which matters because the serve layer checksums
-    /// whole tables (megabytes) on the epoch tick path.
+    /// every logged batch and every dirty table block on the epoch tick
+    /// path.
     pub fn update(&mut self, bytes: &[u8]) {
         let mut c = self.state;
         let mut chunks = bytes.chunks_exact(8);
@@ -129,6 +130,57 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(bytes);
     c.finish()
+}
+
+/// zlib's `crc32_combine` for one fixed second-part length: given
+/// `crc32(a)` and `crc32(b)` with `b.len() == len`, yields `crc32(a ++ b)`
+/// without touching the bytes.
+///
+/// `crc32(a ++ b) = Z(crc32(a)) ^ crc32(b)`, where `Z` feeds `len` zero
+/// bytes through the raw (unconditioned) CRC register. `Z` is linear over
+/// GF(2), so it is tabulated once per byte lane of its 32-bit input and a
+/// combine costs four lookups, whatever `len` is — which is what lets the
+/// serve layer keep a table checksum as per-block CRCs and re-CRC only
+/// the blocks an epoch wrote.
+#[derive(Debug, Clone)]
+pub struct Crc32Combine {
+    lanes: Box<[[u32; 256]; 4]>,
+}
+
+impl Crc32Combine {
+    /// The combiner for second parts of exactly `len` bytes.
+    pub fn new(len: usize) -> Crc32Combine {
+        // Images of the 32 basis vectors under Z, then each lane table by
+        // linearity: lanes[p][v] = XOR of the images of v's set bits.
+        let basis: Vec<u32> = (0..32)
+            .map(|bit| {
+                let mut c = 1u32 << bit;
+                for _ in 0..len {
+                    c = CRC32_TABLES[0][(c & 0xFF) as usize] ^ (c >> 8);
+                }
+                c
+            })
+            .collect();
+        let mut lanes = Box::new([[0u32; 256]; 4]);
+        for (p, lane) in lanes.iter_mut().enumerate() {
+            for v in 1..256usize {
+                let low = v & v.wrapping_neg();
+                lane[v] = lane[v ^ low] ^ basis[8 * p + low.trailing_zeros() as usize];
+            }
+        }
+        Crc32Combine { lanes }
+    }
+
+    /// `crc32(a ++ b)` from `crc_a = crc32(a)` and `crc_b = crc32(b)`.
+    #[inline]
+    pub fn combine(&self, crc_a: u32, crc_b: u32) -> u32 {
+        let [b0, b1, b2, b3] = crc_a.to_le_bytes();
+        self.lanes[0][b0 as usize]
+            ^ self.lanes[1][b1 as usize]
+            ^ self.lanes[2][b2 as usize]
+            ^ self.lanes[3][b3 as usize]
+            ^ crc_b
+    }
 }
 
 // --- fsync policy -----------------------------------------------------------
@@ -508,6 +560,23 @@ mod tests {
         streaming.update(b"1234");
         streaming.update(b"56789");
         assert_eq!(streaming.finish(), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_combine_matches_concatenation_at_every_split_kind() {
+        let bytes: Vec<u8> =
+            (0..1000u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        // Split at 0 (empty first part), 1, one 256-byte block, and the
+        // full length (empty second part).
+        for split in [0, 1, 256, bytes.len()] {
+            let (a, b) = bytes.split_at(split);
+            let combiner = Crc32Combine::new(b.len());
+            assert_eq!(combiner.combine(crc32(a), crc32(b)), crc32(&bytes), "split at {split}");
+        }
+        // One combiner folds a run of equal-length blocks.
+        let block = Crc32Combine::new(256);
+        let folded = bytes[..768].chunks(256).fold(0, |crc, c| block.combine(crc, crc32(c)));
+        assert_eq!(folded, crc32(&bytes[..768]));
     }
 
     #[test]

@@ -625,14 +625,19 @@ impl ServerCore {
         let _epoch = self.tick_lock.lock().expect("tick lock");
         let start = Instant::now();
 
-        // Steal arrivals shard by shard; admission only ever appends, so
-        // holding each lock briefly is enough.
-        let mut stolen: Vec<Staged> = Vec::new();
+        // Steal arrivals shard by shard, bucketed by table in one pass;
+        // admission only ever appends, so holding each lock briefly is
+        // enough.
+        let mut stolen: Vec<Vec<Update>> = vec![Vec::new(); self.tables.len()];
+        let mut n_stolen = 0;
         for shard in &self.shards {
             let mut q = shard.lock().expect("shard lock");
-            stolen.extend(q.drain(..));
+            n_stolen += q.len();
+            for s in q.drain(..) {
+                stolen[s.table as usize].push(s.update);
+            }
         }
-        self.queued.fetch_sub(stolen.len(), Ordering::AcqRel);
+        self.queued.fetch_sub(n_stolen, Ordering::AcqRel);
 
         // Route to reorder buffers and cut batches, one table at a time.
         // Each table cuts under its own watermark-keyed policy schedule.
@@ -644,10 +649,10 @@ impl ServerCore {
         let mut wal = self.wal.as_ref().map(|w| w.lock().expect("wal lock"));
         let mut report = EpochReport::default();
         let mut depth = DepthHistogram::new();
-        for (t, table) in self.tables.iter().enumerate() {
+        for (t, (table, arrivals)) in self.tables.iter().zip(stolen).enumerate() {
             let mut state = table.lock().expect("table lock");
-            for s in stolen.iter().filter(|s| s.table as usize == t) {
-                state.absorb(s.update);
+            for update in arrivals {
+                state.absorb(update);
             }
             let before = state.watermark();
             let slices = match wal.as_deref_mut() {

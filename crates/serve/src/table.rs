@@ -6,10 +6,15 @@
 //! over `f32`/`i32`), so the serving hot path is exactly the paper's
 //! in-vector reduction.
 
+use std::cell::{Cell, RefCell};
+use std::ops::Range;
+use std::sync::OnceLock;
+
 use invector_core::exec::{execute_epoch, EpochScratch, ExecPolicy, ExecReport};
 use invector_core::ops::{Max, Min, ReduceOp, Sum};
 use invector_core::stats::DepthHistogram;
 use invector_core::tune::{EpochPolicy, PolicySchedule};
+use invector_replog::{crc32, Crc32Combine};
 use invector_streamkit::{AggOp, Engine, StreamKind};
 
 use crate::epoch::ReorderBuffer;
@@ -214,6 +219,25 @@ impl TableData {
         }
     }
 
+    /// Little-endian bit patterns of `slots`, staged in `buf` (which must
+    /// hold four bytes per slot) — the checksummed byte form.
+    fn le_bytes<'b>(&self, slots: Range<usize>, buf: &'b mut [u8]) -> &'b [u8] {
+        let out = &mut buf[..4 * slots.len()];
+        match self {
+            TableData::F32(v) => {
+                for (bytes, x) in out.chunks_exact_mut(4).zip(&v[slots]) {
+                    bytes.copy_from_slice(&x.to_bits().to_le_bytes());
+                }
+            }
+            TableData::I32(v) => {
+                for (bytes, x) in out.chunks_exact_mut(4).zip(&v[slots]) {
+                    bytes.copy_from_slice(&x.to_le_bytes());
+                }
+            }
+        }
+        out
+    }
+
     /// Slots widened to `f64` (exact for both kinds), for harness records.
     pub fn to_f64(&self) -> Vec<f64> {
         match self {
@@ -254,11 +278,92 @@ pub struct TableState {
     /// The streamkit engine for stream tables (`None` for flat folds). Its
     /// caches are a pure function of the slot array, rebuilt on install.
     engine: Option<Engine>,
+    /// Per-block CRCs of the slot array, re-CRCed only where an apply
+    /// wrote, so a seal costs O(slice) rather than O(table).
+    blocks: RefCell<BlockCrcs>,
     /// Memoized `(watermark, crc)` of the current state: snapshots and WAL
     /// seals both checksum the full table, and between applies the answer
     /// cannot change, so repeated reads cost one cache probe instead of a
-    /// multi-megabyte CRC pass.
-    checksum_cache: std::cell::Cell<Option<(u64, u32)>>,
+    /// combine over every block.
+    checksum_cache: Cell<Option<(u64, u32)>>,
+}
+
+/// Slots per checksum block: 256 bytes of slot bits.
+const BLOCK_SLOTS: usize = 64;
+
+/// The table checksum kept as one CRC-32 per [`BLOCK_SLOTS`]-slot block plus
+/// a dirty bit per block. The full checksum is the blocks' CRCs folded with
+/// [`Crc32Combine`] — bit-identical to one CRC pass over the whole table.
+#[derive(Debug)]
+struct BlockCrcs {
+    crcs: Vec<u32>,
+    /// One bit per block; set when the block's slots may have changed
+    /// since its CRC was taken.
+    dirty: Vec<u64>,
+    /// Combiner for the final block when the table length is not a whole
+    /// number of blocks.
+    tail: Option<Crc32Combine>,
+}
+
+/// The combiner for one full block, shared by every table.
+fn block_combine() -> &'static Crc32Combine {
+    static COMBINE: OnceLock<Crc32Combine> = OnceLock::new();
+    COMBINE.get_or_init(|| Crc32Combine::new(4 * BLOCK_SLOTS))
+}
+
+impl BlockCrcs {
+    /// Block state for `len` slots, every block dirty.
+    fn new(len: usize) -> BlockCrcs {
+        let blocks = len.div_ceil(BLOCK_SLOTS);
+        let tail = len % BLOCK_SLOTS;
+        let mut state = BlockCrcs {
+            crcs: vec![0; blocks],
+            dirty: vec![0; blocks.div_ceil(64)],
+            tail: (tail != 0).then(|| Crc32Combine::new(4 * tail)),
+        };
+        state.mark_all();
+        state
+    }
+
+    fn mark_slot(&mut self, slot: usize) {
+        let block = slot / BLOCK_SLOTS;
+        self.dirty[block / 64] |= 1 << (block % 64);
+    }
+
+    /// Marks every block overlapping slots `lo..hi`.
+    fn mark_range(&mut self, lo: usize, hi: usize) {
+        if lo < hi {
+            for block in lo / BLOCK_SLOTS..=(hi - 1) / BLOCK_SLOTS {
+                self.dirty[block / 64] |= 1 << (block % 64);
+            }
+        }
+    }
+
+    fn mark_all(&mut self) {
+        self.mark_range(0, self.crcs.len() * BLOCK_SLOTS);
+    }
+
+    /// Re-CRCs the dirty blocks of `data`, then folds every block CRC into
+    /// the checksum of the whole table.
+    fn checksum(&mut self, data: &TableData) -> u32 {
+        let len = data.len();
+        let mut buf = [0u8; 4 * BLOCK_SLOTS];
+        for (w, word) in self.dirty.iter_mut().enumerate() {
+            while *word != 0 {
+                let block = w * 64 + word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                let slots = block * BLOCK_SLOTS..((block + 1) * BLOCK_SLOTS).min(len);
+                self.crcs[block] = crc32(data.le_bytes(slots, &mut buf));
+            }
+        }
+        let full = len / BLOCK_SLOTS;
+        let block = block_combine();
+        let crc = self.crcs[..full].iter().fold(0, |crc, &b| block.combine(crc, b));
+        match &self.tail {
+            Some(tail) => tail.combine(crc, self.crcs[full]),
+            None => crc,
+        }
+    }
 }
 
 impl TableState {
@@ -266,6 +371,7 @@ impl TableState {
     /// under `initial` until a policy change is scheduled.
     pub fn new(spec: TableSpec, initial: EpochPolicy) -> TableState {
         let mut data = TableData::identity(&spec);
+        let blocks = RefCell::new(BlockCrcs::new(spec.len));
         let mut engine = Engine::for_kind(&spec.stream, spec.agg_op());
         if let (Some(engine), TableData::I32(slots)) = (engine.as_mut(), &mut data) {
             engine.init(slots);
@@ -279,7 +385,8 @@ impl TableState {
             scratch_f32: EpochScratch::new(),
             scratch_i32: EpochScratch::new(),
             engine,
-            checksum_cache: std::cell::Cell::new(None),
+            blocks,
+            checksum_cache: Cell::new(None),
         };
         // Warm the memo at construction: the first snapshot/seal of a large
         // table should not pay a full-table CRC on the serving path.
@@ -520,6 +627,7 @@ impl TableState {
             engine.rebuild(slots);
         }
         self.pending.advance_to(watermark);
+        self.blocks.get_mut().mark_all();
         self.checksum_cache.set(None);
         Ok(())
     }
@@ -535,7 +643,10 @@ impl TableState {
     /// without materializing the bit vector.
     ///
     /// Memoized per watermark: state only changes when updates apply, and
-    /// every apply advances the watermark, so a hit is always exact.
+    /// every apply advances the watermark, so a hit is always exact. A miss
+    /// re-CRCs only the 64-slot blocks written since the last checksum
+    /// (flat slices mark the blocks of their keys; stream-engine applies
+    /// and installs mark every block) and combines the per-block CRCs.
     pub fn checksum(&self) -> u32 {
         let wm = self.watermark();
         if let Some((at, crc)) = self.checksum_cache.get() {
@@ -543,27 +654,7 @@ impl TableState {
                 return crc;
             }
         }
-        // Stage slots through a fixed buffer so the CRC core sees long runs
-        // of bytes (its slicing-by-8 fast path) instead of 4-byte calls.
-        fn fold(crc: &mut invector_replog::Crc32, slots: impl Iterator<Item = u32>) {
-            let mut buf = [0u8; 4096];
-            let mut fill = 0;
-            for bits in slots {
-                buf[fill..fill + 4].copy_from_slice(&bits.to_le_bytes());
-                fill += 4;
-                if fill == buf.len() {
-                    crc.update(&buf);
-                    fill = 0;
-                }
-            }
-            crc.update(&buf[..fill]);
-        }
-        let mut crc = invector_replog::Crc32::new();
-        match &self.data {
-            TableData::F32(v) => fold(&mut crc, v.iter().map(|x| x.to_bits())),
-            TableData::I32(v) => fold(&mut crc, v.iter().map(|&x| x as u32)),
-        }
-        let out = crc.finish();
+        let out = self.blocks.borrow_mut().checksum(&self.data);
         self.checksum_cache.set(Some((wm, out)));
         out
     }
@@ -589,20 +680,23 @@ impl TableState {
             )
         }
 
+        let blocks = self.blocks.get_mut();
         // Stream tables route the slice through their engine: the events
         // are the same logged updates, so WAL replay and replication take
-        // this exact path too.
+        // this exact path too. An engine may write any slot (rank layers,
+        // ring buckets), so every block is re-checksummed.
         if let Some(engine) = self.engine.as_mut() {
             let TableData::I32(slots) = &mut self.data else {
                 unreachable!("stream tables are validated to be i32")
             };
             let events: Vec<(u32, u32)> = self.chunk.iter().map(|u| (u.idx, u.bits)).collect();
             let stats = engine.apply(slots, &events, policy);
+            blocks.mark_all();
             return ExecReport { stats, workers: Vec::new() };
         }
 
         let chunk = &self.chunk;
-        match (&mut self.data, self.spec.op) {
+        let report = match (&mut self.data, self.spec.op) {
             (TableData::F32(v), OpKind::Add) => {
                 run::<f32, Sum>(v, chunk, &mut self.scratch_f32, policy, f32::from_bits)
             }
@@ -621,7 +715,17 @@ impl TableState {
             (TableData::I32(v), OpKind::Max) => {
                 run::<i32, Max>(v, chunk, &mut self.scratch_i32, policy, |b| b as i32)
             }
+        };
+        for u in chunk {
+            blocks.mark_slot(u.idx as usize);
         }
+        // A privatized task folds its identity-filled scratch over its whole
+        // touched range, which can rewrite slots no key names (an f32 sum
+        // turns a `-0.0` slot into `+0.0`).
+        for w in report.workers.iter().filter(|w| w.private_len > 0) {
+            blocks.mark_range(w.touched_lo, w.touched_hi);
+        }
+        report
     }
 }
 

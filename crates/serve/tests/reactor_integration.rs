@@ -39,6 +39,16 @@ fn connect_retrying(addr: std::net::SocketAddr) -> TcpClient {
     panic!("could not connect to {addr} after 200 attempts");
 }
 
+/// The value of the first sample of series `name` in a metrics scrape.
+#[cfg(feature = "obs")]
+fn series_value(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find(|l| l.starts_with(name) && !l.starts_with('#'))
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("series {name} missing:\n{text}"))
+}
+
 /// A slow reader must stall the server's writes (partial-write resumption)
 /// and then its reads (write-ring cap pauses read interest) — and every
 /// reply must still arrive intact once the client finally drains.
@@ -78,8 +88,26 @@ fn slow_reader_backpressure_stalls_writes_then_reads() {
         write_frame(&mut writer, &Request::Update { table: 0, updates }.encode())
             .expect("update req");
     }
-    // Give the reactor time to fill the socket + write ring and hit both
-    // stall paths while we refuse to read.
+    // Let the reactor fill the socket + write ring and hit both stall paths
+    // while we refuse to read. Encoding a ~4 MiB snapshot can take longer
+    // than any fixed sleep (unoptimized builds, loaded hosts), so poll the
+    // stall counters through a probe connection, up to a generous deadline.
+    #[cfg(feature = "obs")]
+    {
+        let mut probe = TcpClient::connect(addr).expect("probe connect");
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let text = probe.metrics().expect("metrics");
+            let stalled = |name: &str| series_value(&text, name) >= 1;
+            let both = stalled("invector_serve_write_stalls_total")
+                && stalled("invector_serve_read_stalls_total");
+            if both || std::time::Instant::now() >= deadline {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+    #[cfg(not(feature = "obs"))]
     std::thread::sleep(Duration::from_millis(100));
 
     // Now drain: hello reply, every snapshot intact, then the update acks.
@@ -107,13 +135,7 @@ fn slow_reader_backpressure_stalls_writes_then_reads() {
     {
         let mut probe = TcpClient::connect(addr).expect("probe connect");
         let text = probe.metrics().expect("metrics");
-        let series_value = |name: &str| -> u64 {
-            text.lines()
-                .find(|l| l.starts_with(name) && !l.starts_with('#'))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("series {name} missing:\n{text}"))
-        };
+        let series_value = |name: &str| series_value(&text, name);
         assert!(series_value("invector_serve_write_stalls_total") >= 1, "writes must stall");
         assert!(series_value("invector_serve_read_stalls_total") >= 1, "reads must pause");
         assert!(series_value("invector_serve_wakeups_total") >= 1);

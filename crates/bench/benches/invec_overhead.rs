@@ -51,15 +51,19 @@ fn bench_algorithms(c: &mut Criterion) {
     }
     // Portable model vs the fully-native AVX-512 Algorithm 1 (intrinsics
     // end to end) when the hardware supports it.
-    if invector_simd::native::available() {
+    if invector_simd::arch::avx512::available() {
         for d in [0usize, 4, 8] {
             let idx = index_with_conflicts(d);
             group.bench_with_input(BenchmarkId::new("alg1_native_avx512", d), &idx, |b, &idx| {
                 b.iter(|| {
                     let mut data = [1.0f32; 16];
-                    // SAFETY: guarded by `native::available()`.
+                    // SAFETY: guarded by `avx512::available()`.
                     let mask = unsafe {
-                        invector_simd::native::invec_add_f32(0xFFFF, black_box(idx), &mut data)
+                        invector_simd::arch::avx512::invec_add_f32(
+                            0xFFFF,
+                            black_box(idx),
+                            &mut data,
+                        )
                     };
                     black_box((mask, data))
                 })
@@ -125,7 +129,7 @@ fn bench_stream_strategies(c: &mut Criterion) {
 /// AVX-512 pipeline (real `vpconflictd` + in-register reduction + hardware
 /// gather-add-scatter), no emulation in the loop.
 fn bench_native_pipeline(c: &mut Criterion) {
-    if !invector_simd::native::available() {
+    if !invector_simd::arch::avx512::available() {
         eprintln!("skipping native_pipeline: AVX-512 not available");
         return;
     }

@@ -62,8 +62,8 @@ fn main() {
     let updates = 2 * rows as u64;
 
     let mut backends = vec![("portable", BackendChoice::Portable)];
-    if invector_simd::native::available() {
-        backends.push(("native", BackendChoice::Native));
+    if invector_simd::arch::avx512::available() {
+        backends.push(("native", BackendChoice::Avx512));
     }
 
     let mut cells = Vec::new();

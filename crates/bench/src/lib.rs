@@ -19,23 +19,40 @@ pub mod autotune;
 /// Reads the experiment scale from `--scale <f>` / `--full` CLI arguments
 /// or the `INVECTOR_SCALE` environment variable, defaulting to `default`.
 ///
-/// `--full` selects scale 1.0 (the paper's dataset sizes).
+/// `--full` selects scale 1.0 (the paper's dataset sizes). A scale that is
+/// not a positive number exits the process with status 2 and a message.
 pub fn arg_scale(default: f64) -> f64 {
     let args: Vec<String> = std::env::args().collect();
+    let env = std::env::var("INVECTOR_SCALE").ok();
+    parse_scale(&args, env.as_deref(), default).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(2);
+    })
+}
+
+/// The scale [`arg_scale`] selects from `args` and the `INVECTOR_SCALE`
+/// value `env`: `--full` wins, then `--scale <f>`, then `env`, then
+/// `default`.
+///
+/// # Errors
+///
+/// Returns a message when the chosen value is missing, unparseable, or not
+/// a positive finite number.
+pub fn parse_scale(args: &[String], env: Option<&str>, default: f64) -> Result<f64, String> {
     if args.iter().any(|a| a == "--full") {
-        return 1.0;
+        return Ok(1.0);
     }
-    if let Some(i) = args.iter().position(|a| a == "--scale") {
-        if let Some(v) = args.get(i + 1).and_then(|s| s.parse::<f64>().ok()) {
-            return v;
-        }
+    let (source, raw) = match args.iter().position(|a| a == "--scale") {
+        Some(i) => ("--scale", args.get(i + 1).ok_or("--scale needs a value")?.as_str()),
+        None => match env {
+            Some(v) => ("INVECTOR_SCALE", v),
+            None => return Ok(default),
+        },
+    };
+    match raw.parse::<f64>() {
+        Ok(v) if v > 0.0 && v.is_finite() => Ok(v),
+        _ => Err(format!("{source}: invalid scale '{raw}' (expected a positive number)")),
     }
-    if let Ok(v) = std::env::var("INVECTOR_SCALE") {
-        if let Ok(v) = v.parse::<f64>() {
-            return v;
-        }
-    }
-    default
 }
 
 /// Formats a duration as engineering-friendly milliseconds.
@@ -229,6 +246,27 @@ pub fn wavefront_figure<T: PartialEq + std::fmt::Debug>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_sources_in_precedence_order() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_scale(&args(&["bin"]), None, 0.5), Ok(0.5));
+        assert_eq!(parse_scale(&args(&["bin"]), Some("0.25"), 0.5), Ok(0.25));
+        assert_eq!(parse_scale(&args(&["bin", "--scale", "0.1"]), Some("0.25"), 0.5), Ok(0.1));
+        assert_eq!(parse_scale(&args(&["bin", "--full", "--scale", "0.1"]), None, 0.5), Ok(1.0));
+    }
+
+    #[test]
+    fn garbage_scales_are_rejected() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for bad in ["abc", "0", "-1", "NaN", "inf", ""] {
+            let err = parse_scale(&args(&["bin", "--scale", bad]), None, 0.5).unwrap_err();
+            assert!(err.contains("--scale") && err.contains("positive"), "{bad}: {err}");
+            let err = parse_scale(&args(&["bin"]), Some(bad), 0.5).unwrap_err();
+            assert!(err.contains("INVECTOR_SCALE"), "{bad}: {err}");
+        }
+        assert!(parse_scale(&args(&["bin", "--scale"]), None, 0.5).is_err());
+    }
 
     #[test]
     fn human_inserts_separators() {

@@ -375,7 +375,7 @@ where
 /// ```
 pub fn native_invec_accumulate_f32(target: &mut [f32], idx: &[i32], vals: &[f32]) -> bool {
     assert_eq!(idx.len(), vals.len(), "index/value length mismatch");
-    if !invector_simd::native::available() || target.len() > i32::MAX as usize {
+    if !invector_simd::arch::avx512::available() || target.len() > i32::MAX as usize {
         return false;
     }
     // Off x86_64 `available()` is a compile-time false, so the native call
@@ -389,7 +389,7 @@ pub fn native_invec_accumulate_f32(target: &mut [f32], idx: &[i32], vals: &[f32]
         // hot loop stays in registers.
         let mut depth = [0u64; 17];
         unsafe {
-            invector_simd::native::accumulate_add_f32(target, idx, vals, &mut depth);
+            invector_simd::arch::avx512::accumulate_add_f32(target, idx, vals, &mut depth);
         }
         true
     }
@@ -494,7 +494,7 @@ mod tests {
 
     #[test]
     fn native_path_matches_serial_on_integer_valued_floats() {
-        if !invector_simd::native::available() {
+        if !invector_simd::arch::avx512::available() {
             eprintln!("skipping: AVX-512 not available");
             return;
         }
@@ -515,7 +515,7 @@ mod tests {
 
     #[test]
     fn native_path_accumulates_into_existing_contents() {
-        if !invector_simd::native::available() {
+        if !invector_simd::arch::avx512::available() {
             eprintln!("skipping: AVX-512 not available");
             return;
         }
@@ -527,7 +527,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn native_path_rejects_bad_indices() {
-        if !invector_simd::native::available() {
+        if !invector_simd::arch::avx512::available() {
             panic!("index 9 out of bounds for target of length 2"); // keep expectation
         }
         let mut target = vec![0.0f32; 2];

@@ -118,12 +118,6 @@ pub enum BackendChoice {
     Auto,
     /// Always use the portable software model.
     Portable,
-    /// Require *some* native ISA: resolves like [`BackendChoice::Auto`]
-    /// but panics instead of falling back to the portable model.
-    ///
-    /// Failing at the dispatch layer (with a message naming the missing
-    /// features) beats faulting inside an `unsafe fn`.
-    Native,
     /// Require the 16-lane AVX-512 backend.
     Avx512,
     /// Require the 8-lane AVX2 backend.
@@ -134,7 +128,7 @@ pub enum BackendChoice {
 
 impl BackendChoice {
     /// Every accepted [`BackendChoice::parse`] spelling, in display order.
-    pub const NAMES: [&'static str; 6] = ["auto", "portable", "native", "avx512", "avx2", "neon"];
+    pub const NAMES: [&'static str; 5] = ["auto", "portable", "avx512", "avx2", "neon"];
 
     /// The best native backend the running CPU supports, if any.
     fn best_native() -> Option<Backend> {
@@ -146,9 +140,7 @@ impl BackendChoice {
     /// # Panics
     ///
     /// Panics if a specific ISA is requested that the host does not
-    /// support, or if [`BackendChoice::Native`] is requested on a host
-    /// with no native backend at all. The message names the missing CPU
-    /// features.
+    /// support. The message names the missing CPU features.
     #[must_use]
     pub fn resolve(self) -> Backend {
         let require = |b: Backend| {
@@ -164,14 +156,6 @@ impl BackendChoice {
         match self {
             BackendChoice::Portable => Backend::Portable,
             BackendChoice::Auto => Self::best_native().unwrap_or(Backend::Portable),
-            BackendChoice::Native => Self::best_native().unwrap_or_else(|| {
-                panic!(
-                    "native backend requested but this host supports no native \
-                     ISA (needs avx512f + avx512cd, avx2, or aarch64 NEON); use \
-                     `auto` to fall back to the portable model, or unset \
-                     INVECTOR_BACKEND"
-                )
-            }),
             BackendChoice::Avx512 => require(Backend::Avx512),
             BackendChoice::Avx2 => require(Backend::Avx2),
             BackendChoice::Neon => require(Backend::Neon),
@@ -190,7 +174,6 @@ impl BackendChoice {
         match s.to_ascii_lowercase().as_str() {
             "auto" => Ok(BackendChoice::Auto),
             "portable" => Ok(BackendChoice::Portable),
-            "native" => Ok(BackendChoice::Native),
             "avx512" => Ok(BackendChoice::Avx512),
             "avx2" => Ok(BackendChoice::Avx2),
             "neon" => Ok(BackendChoice::Neon),
@@ -256,18 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn native_resolves_to_autos_pick_or_panics() {
-        if BackendChoice::Auto.resolve().is_native() {
-            assert_eq!(BackendChoice::Native.resolve(), BackendChoice::Auto.resolve());
-        } else {
-            let err = std::panic::catch_unwind(|| BackendChoice::Native.resolve())
-                .expect_err("forcing native without hardware SIMD must panic");
-            let msg = err.downcast_ref::<String>().expect("panic carries a message");
-            assert!(msg.contains("avx512f"), "message should name the features: {msg}");
-        }
-    }
-
-    #[test]
     fn forced_isa_resolves_or_panics_with_useful_message() {
         for (choice, backend) in [
             (BackendChoice::Avx512, Backend::Avx512),
@@ -300,6 +271,7 @@ mod tests {
             assert!(msg.contains(name), "error should list {name}: {msg}");
         }
         assert!(msg.contains("supported on this host"), "{msg}");
+        assert!(BackendChoice::parse("native").is_err(), "the old alias is gone");
     }
 
     #[test]

@@ -966,6 +966,13 @@ mod tests {
             ExecPolicy::with_threads(6).partition(Partition::Privatized).deterministic(true);
         let mut first = vec![0.0f32; 32];
         execute::<f32, Sum>(&mut first, &idx, &vals, &policy);
+        // Reassociation across 6 chunks stays far inside 1e-3 of the scalar
+        // loop.
+        let mut expect = vec![0.0f32; 32];
+        serial_accumulate::<f32, Sum>(&mut expect, &idx, &vals);
+        for (a, b) in first.iter().zip(&expect) {
+            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
+        }
         for _ in 0..10 {
             let mut again = vec![0.0f32; 32];
             execute::<f32, Sum>(&mut again, &idx, &vals, &policy);

@@ -1,7 +1,7 @@
 //! A persistent, lazily-initialized worker pool.
 //!
-//! The seed's `parallel_invec_accumulate` spawned fresh OS threads on every
-//! call — acceptable for a one-off benchmark, fatal on a hot path that runs
+//! The seed's MIMD accumulate spawned fresh OS threads on every call —
+//! acceptable for a one-off benchmark, fatal on a hot path that runs
 //! an edge phase per iteration. This pool is created once (on the first
 //! batch that actually needs parallelism), parks its workers on a condition
 //! variable between batches, and is shared by every engine entry point in

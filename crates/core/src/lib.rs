@@ -60,7 +60,6 @@ pub mod exec;
 pub mod invec;
 pub mod masking;
 pub mod ops;
-pub mod parallel;
 pub mod rbk;
 pub mod stats;
 pub mod tune;
@@ -82,7 +81,6 @@ pub use invec::{
 };
 pub use masking::masked_accumulate;
 pub use ops::ReduceOp;
-pub use parallel::parallel_invec_accumulate;
 pub use tune::{
     Controller, Decision, EpochPolicy, MetricFrame, PolicyHandle, PolicySchedule, PolicyTrace,
     TraceEntry, TuneConfig,

@@ -11,16 +11,12 @@
 //! a full compressible-flow flux — the published performance question is
 //! about the reduction/memory pattern, which is preserved exactly.
 
-use invector_core::backend::Backend;
-use invector_core::exec::parallel_chunks;
-use invector_core::invec::reduce_alg1_arr_with;
-use invector_core::ops::Sum;
-use invector_core::stats::{DepthHistogram, Utilization};
-use invector_graph::group::{group_by_two_keys, Grouping};
+use invector_core::backend;
 use invector_graph::EdgeList;
 use invector_simd::{F32x16, I32x16, Mask16};
 
-use crate::common::{ExecPolicy, ExecVariant, Variant};
+use crate::common::{ExecPolicy, Variant};
+use crate::edgemap::{EdgeLane, EdgeMap, Lanes, StarvationGuard, Target};
 
 /// Number of conserved components per mesh node.
 pub const COMPONENTS: usize = 4;
@@ -89,319 +85,44 @@ pub fn initial_state(num_nodes: usize) -> NodeState {
 /// Diffusive exchange coefficient.
 const KAPPA: f32 = 0.25;
 
-/// One edge-sweep: accumulates the per-edge flux into `update` (both
-/// endpoints, opposite signs) with the chosen strategy, returning recorded
-/// statistics for the vectorized variants.
-///
-/// # Panics
-///
-/// Panics if state/update sizes disagree with the mesh.
-pub fn flux_sweep(
-    mesh: &EdgeList,
-    state: &NodeState,
-    update: &mut NodeState,
-    variant: Variant,
-) -> (Option<Utilization>, Option<DepthHistogram>) {
-    flux_sweep_with(mesh, state, update, variant, invector_core::backend::current())
+/// One edge's flux into `a`, `KAPPA · (state[b] - state[a])`, which `b`
+/// loses.
+struct Flux<'a> {
+    mesh: &'a EdgeList,
+    state: &'a NodeState,
 }
 
-/// [`flux_sweep`] against an explicitly resolved backend (the in-vector
-/// variant is the only one that dispatches per backend).
-///
-/// # Panics
-///
-/// Panics if state/update sizes disagree with the mesh.
-pub fn flux_sweep_with(
-    mesh: &EdgeList,
-    state: &NodeState,
-    update: &mut NodeState,
-    variant: Variant,
-    backend: Backend,
-) -> (Option<Utilization>, Option<DepthHistogram>) {
-    assert_eq!(state.len(), mesh.num_vertices(), "state size mismatch");
-    assert_eq!(update.len(), mesh.num_vertices(), "update size mismatch");
-    match variant {
-        Variant::Serial | Variant::SerialTiled => {
-            sweep_serial(mesh, state, update);
-            (None, None)
-        }
-        Variant::Invec => {
-            let mut depth = DepthHistogram::new();
-            sweep_invec(mesh, backend, state, update, &mut depth);
-            (None, Some(depth))
-        }
-        Variant::Masked => {
-            let mut util = Utilization::default();
-            sweep_masked(mesh, state, update, &mut util);
-            (Some(util), None)
-        }
-        Variant::Grouped => {
-            let positions: Vec<u32> = (0..mesh.num_edges() as u32).collect();
-            let grouping = group_by_two_keys(&positions, mesh.src(), mesh.dst());
-            sweep_grouped(mesh, &grouping, state, update);
-            (None, None)
-        }
+impl EdgeLane<COMPONENTS> for Flux<'_> {
+    const TARGET: Target = Target::Two(StarvationGuard::SecondEmptyRound);
+    /// Endpoint loads, 4 state loads per side, 4 flux ops, 8 update
+    /// load-add-stores.
+    const SERIAL_ITEM_COST: u64 = 26;
+
+    fn endpoints(&self) -> (&[i32], &[i32]) {
+        (self.mesh.src(), self.mesh.dst())
     }
-}
 
-/// Modeled scalar cost of one edge: endpoint loads, 4 state loads per side,
-/// 4 flux ops, 8 update load-add-stores.
-pub const SERIAL_EDGE_COST: u64 = 26;
-
-fn sweep_serial(mesh: &EdgeList, state: &NodeState, update: &mut NodeState) {
-    for j in 0..mesh.num_edges() {
-        let a = mesh.src()[j] as usize;
-        let b = mesh.dst()[j] as usize;
-        for c in 0..COMPONENTS {
-            let flux = KAPPA * (state.fields[c][a] - state.fields[c][b]);
-            update.fields[c][a] -= flux;
-            update.fields[c][b] += flux;
-        }
+    #[inline]
+    fn scalar(&self, _: usize, a: usize, b: usize) -> Option<[f32; COMPONENTS]> {
+        let f = &self.state.fields;
+        Some(std::array::from_fn(|c| KAPPA * (f[c][b] - f[c][a])))
     }
-    invector_simd::count::bump(SERIAL_EDGE_COST * mesh.num_edges() as u64);
-}
 
-/// Computes the per-component flux vectors for the active lanes.
-#[inline]
-fn flux_vectors(state: &NodeState, active: Mask16, va: I32x16, vb: I32x16) -> [F32x16; COMPONENTS] {
-    let kappa = F32x16::splat(KAPPA);
-    std::array::from_fn(|c| {
-        let ua = F32x16::zero().mask_gather(active, &state.fields[c], va);
-        let ub = F32x16::zero().mask_gather(active, &state.fields[c], vb);
-        kappa * (ua - ub)
-    })
-}
-
-/// Gather-add-scatter of the flux components into one endpoint axis.
-#[inline]
-fn scatter_axis(
-    update: &mut NodeState,
-    safe: Mask16,
-    idx: I32x16,
-    flux: &[F32x16; COMPONENTS],
-    negate: bool,
-) {
-    for (c, &f) in flux.iter().enumerate() {
-        let old = F32x16::zero().mask_gather(safe, &update.fields[c], idx);
-        let new = if negate { old - f } else { old + f };
-        new.mask_scatter(safe, &mut update.fields[c], idx);
-    }
-}
-
-fn sweep_invec(
-    mesh: &EdgeList,
-    backend: Backend,
-    state: &NodeState,
-    update: &mut NodeState,
-    depth: &mut DepthHistogram,
-) {
-    let (src, dst) = (mesh.src(), mesh.dst());
-    let mut j = 0;
-    while j < mesh.num_edges() {
-        let (va, active) = I32x16::load_partial(&src[j..], 0);
-        let (vb, _) = I32x16::load_partial(&dst[j..], 0);
-        let flux = flux_vectors(state, active, va, vb);
-
-        let mut comps = flux;
-        let (safe_a, d1) =
-            reduce_alg1_arr_with::<f32, Sum, COMPONENTS, 16>(backend, active, va, &mut comps);
-        depth.record(d1);
-        scatter_axis(update, safe_a, va, &comps, true);
-
-        let mut comps = flux;
-        let (safe_b, d2) =
-            reduce_alg1_arr_with::<f32, Sum, COMPONENTS, 16>(backend, active, vb, &mut comps);
-        depth.record(d2);
-        scatter_axis(update, safe_b, vb, &comps, false);
-
-        j += 16;
-    }
-}
-
-fn sweep_masked(
-    mesh: &EdgeList,
-    state: &NodeState,
-    update: &mut NodeState,
-    util: &mut Utilization,
-) {
-    let (src, dst) = (mesh.src(), mesh.dst());
-    let lane_ids = I32x16::iota();
-    let mut scratch = vec![0i32; mesh.num_vertices()];
-    let mut j = 0;
-    while j < mesh.num_edges() {
-        let (va, loaded) = I32x16::load_partial(&src[j..], 0);
-        let (vb, _) = I32x16::load_partial(&dst[j..], 0);
-        let mut active = loaded;
-        let mut stuck_guard = 0u32;
-        while !active.is_empty() {
-            let flux = flux_vectors(state, active, va, vb);
-            // Gather-after-scatter conflict detection across both axes.
-            lane_ids.mask_scatter(active, &mut scratch, va);
-            lane_ids.mask_scatter(active, &mut scratch, vb);
-            let got_a = I32x16::zero().mask_gather(active, &scratch, va);
-            let got_b = I32x16::zero().mask_gather(active, &scratch, vb);
-            let safe = got_a.simd_eq(lane_ids) & got_b.simd_eq(lane_ids) & active;
-            scatter_axis(update, safe, va, &flux, true);
-            scatter_axis(update, safe, vb, &flux, false);
-            util.record(u64::from(safe.count_ones()), 16);
-            active = active.and_not(safe);
-            // Progress guarantee against gather-after-scatter starvation.
-            if safe.is_empty() {
-                stuck_guard += 1;
-                if stuck_guard > 1 {
-                    let lane = active.first_set().expect("nonempty");
-                    let pos = j + lane;
-                    let a = mesh.src()[pos] as usize;
-                    let b = mesh.dst()[pos] as usize;
-                    for c in 0..COMPONENTS {
-                        let f = KAPPA * (state.fields[c][a] - state.fields[c][b]);
-                        update.fields[c][a] -= f;
-                        update.fields[c][b] += f;
-                    }
-                    util.record(1, 16);
-                    active = active.with(lane, false);
-                }
-            } else {
-                stuck_guard = 0;
-            }
-        }
-        j += 16;
-    }
-}
-
-/// One edge-sweep distributed over the execution engine's thread pool.
-///
-/// Every edge writes **two** endpoints, so the single-target owner-computes
-/// partition does not apply; instead edges are chunked in stream order via
-/// [`parallel_chunks`] and each worker accumulates into a private
-/// [`NodeState`] bounded to the node range its chunk touches (not the whole
-/// mesh). Private states are folded into `update` in task order, so results
-/// are deterministic across runs at a fixed thread count (and within the
-/// usual float-reassociation tolerance of the serial sweep).
-///
-/// The per-worker strategy follows [`Variant::exec_variant`]; one thread
-/// delegates to [`flux_sweep`]. Returns the depth histogram (in-vector
-/// workers) and the number of workers used.
-pub fn flux_sweep_parallel(
-    mesh: &EdgeList,
-    state: &NodeState,
-    update: &mut NodeState,
-    variant: Variant,
-    policy: &ExecPolicy,
-) -> (Option<DepthHistogram>, usize) {
-    assert_eq!(state.len(), mesh.num_vertices(), "state size mismatch");
-    assert_eq!(update.len(), mesh.num_vertices(), "update size mismatch");
-    // Resolved once per sweep; worker closures capture the resolved value.
-    let backend = policy.backend.resolve();
-    if policy.threads <= 1 {
-        let (_, depth) = flux_sweep_with(mesh, state, update, variant, backend);
-        return (depth, 1);
-    }
-    let worker = variant.exec_variant();
-    let (src, dst) = (mesh.src(), mesh.dst());
-    let results = parallel_chunks(mesh.num_edges(), policy.threads, |_, range| {
-        // Bound the private state to the chunk's touched node range.
-        let (mut lo, mut hi) = (0usize, 0usize);
-        if !range.is_empty() {
-            let (mut min_n, mut max_n) = (i32::MAX, i32::MIN);
-            for p in range.clone() {
-                min_n = min_n.min(src[p]).min(dst[p]);
-                max_n = max_n.max(src[p]).max(dst[p]);
-            }
-            lo = min_n as usize;
-            hi = max_n as usize + 1;
-        }
-        let mut private = NodeState::zeroed(hi - lo);
-        let mut depth = DepthHistogram::new();
-        match worker {
-            ExecVariant::Serial => sweep_serial_ranged(mesh, state, &mut private, lo, &range),
-            _ => sweep_invec_ranged(mesh, backend, state, &mut private, lo, &range, &mut depth),
-        }
-        (lo, private, depth)
-    });
-    let threads = results.len();
-    let mut depth = DepthHistogram::new();
-    for (lo, private, d) in results {
-        for c in 0..COMPONENTS {
-            for (slot, p) in
-                update.fields[c][lo..lo + private.len()].iter_mut().zip(&private.fields[c])
-            {
-                *slot += p;
-            }
-        }
-        depth.merge(&d);
-    }
-    ((worker == ExecVariant::Invec).then_some(depth), threads)
-}
-
-/// Scalar sweep of one edge range into a private window whose index space
-/// starts at node `base`.
-fn sweep_serial_ranged(
-    mesh: &EdgeList,
-    state: &NodeState,
-    update: &mut NodeState,
-    base: usize,
-    range: &std::ops::Range<usize>,
-) {
-    for j in range.clone() {
-        let a = mesh.src()[j] as usize;
-        let b = mesh.dst()[j] as usize;
-        for c in 0..COMPONENTS {
-            let flux = KAPPA * (state.fields[c][a] - state.fields[c][b]);
-            update.fields[c][a - base] -= flux;
-            update.fields[c][b - base] += flux;
-        }
-    }
-    invector_simd::count::bump(SERIAL_EDGE_COST * range.len() as u64);
-}
-
-/// In-vector sweep of one edge range: state is gathered with the global
-/// node ids, the update scatters through ids rebased by `base`.
-fn sweep_invec_ranged(
-    mesh: &EdgeList,
-    backend: Backend,
-    state: &NodeState,
-    update: &mut NodeState,
-    base: usize,
-    range: &std::ops::Range<usize>,
-    depth: &mut DepthHistogram,
-) {
-    let (src, dst) = (mesh.src(), mesh.dst());
-    let vbase = I32x16::splat(base as i32);
-    let mut j = range.start;
-    while j < range.end {
-        let (va, active) = I32x16::load_partial(&src[j..range.end], 0);
-        let (vb, _) = I32x16::load_partial(&dst[j..range.end], 0);
-        let flux = flux_vectors(state, active, va, vb);
-        let (ra, rb) = (va - vbase, vb - vbase);
-
-        let mut comps = flux;
-        let (safe_a, d1) =
-            reduce_alg1_arr_with::<f32, Sum, COMPONENTS, 16>(backend, active, ra, &mut comps);
-        depth.record(d1);
-        scatter_axis(update, safe_a, ra, &comps, true);
-
-        let mut comps = flux;
-        let (safe_b, d2) =
-            reduce_alg1_arr_with::<f32, Sum, COMPONENTS, 16>(backend, active, rb, &mut comps);
-        depth.record(d2);
-        scatter_axis(update, safe_b, rb, &comps, false);
-
-        j += 16;
-    }
-}
-
-fn sweep_grouped(mesh: &EdgeList, grouping: &Grouping, state: &NodeState, update: &mut NodeState) {
-    let (src, dst) = (mesh.src(), mesh.dst());
-    for w in 0..grouping.num_windows() {
-        let (slots, maskbits) = grouping.window(w);
-        let active = Mask16::from_bits(u32::from(maskbits));
-        let vpos = I32x16::from_array(std::array::from_fn(|i| slots[i] as i32));
-        let va = I32x16::zero().mask_gather(active, src, vpos);
-        let vb = I32x16::zero().mask_gather(active, dst, vpos);
-        let flux = flux_vectors(state, active, va, vb);
-        scatter_axis(update, active, va, &flux, true);
-        scatter_axis(update, active, vb, &flux, false);
+    #[inline]
+    fn vector(
+        &self,
+        active: Mask16,
+        _: Lanes,
+        va: I32x16,
+        vb: I32x16,
+    ) -> (Mask16, [F32x16; COMPONENTS]) {
+        let kappa = F32x16::splat(KAPPA);
+        let flux = std::array::from_fn(|c| {
+            let ua = F32x16::zero().mask_gather(active, &self.state.fields[c], va);
+            let ub = F32x16::zero().mask_gather(active, &self.state.fields[c], vb);
+            kappa * (ub - ua)
+        });
+        (active, flux)
     }
 }
 
@@ -418,25 +139,16 @@ pub fn euler_run(
     iterations: u32,
     dt: f32,
 ) -> NodeState {
-    let mut state = state.clone();
-    let mut update = NodeState::zeroed(state.len());
-    for _ in 0..iterations {
-        for field in &mut update.fields {
-            field.fill(0.0);
-        }
-        let _ = flux_sweep(mesh, &state, &mut update, variant);
-        for c in 0..COMPONENTS {
-            for (s, u) in state.fields[c].iter_mut().zip(&update.fields[c]) {
-                *s += dt * u;
-            }
-        }
-    }
-    state
+    let map = EdgeMap::new(variant, backend::current(), None);
+    run(mesh, state, map, iterations, dt).0
 }
 
 /// Runs `iterations` explicit edge-sweep steps with every sweep distributed
-/// over the execution engine; one thread delegates to the serial driver.
-/// Returns the final state and the number of workers used.
+/// over the execution engine when `policy.threads > 1`: edges are chunked
+/// in stream order and each worker accumulates into a private window
+/// bounded to the node range its chunk touches, folded in task order. The
+/// per-worker strategy follows [`Variant::exec_variant`]. Returns the final
+/// state and the number of workers used.
 ///
 /// # Panics
 ///
@@ -449,27 +161,55 @@ pub fn euler_run_with_policy(
     dt: f32,
     policy: &ExecPolicy,
 ) -> (NodeState, usize) {
+    let map =
+        EdgeMap::new(variant, policy.backend.resolve(), (policy.threads > 1).then_some(policy));
+    run(mesh, state, map, iterations, dt)
+}
+
+fn run(
+    mesh: &EdgeList,
+    state: &NodeState,
+    mut map: EdgeMap,
+    iterations: u32,
+    dt: f32,
+) -> (NodeState, usize) {
+    assert_eq!(state.len(), mesh.num_vertices(), "state size mismatch");
     let mut state = state.clone();
     let mut update = NodeState::zeroed(state.len());
-    let mut threads = 1;
+    map.inspect(&Flux { mesh, state: &state }, state.len());
     for _ in 0..iterations {
         for field in &mut update.fields {
             field.fill(0.0);
         }
-        let (_, used) = flux_sweep_parallel(mesh, &state, &mut update, variant, policy);
-        threads = threads.max(used);
+        map.run(&Flux { mesh, state: &state }, update.fields.each_mut().map(Vec::as_mut_slice));
         for c in 0..COMPONENTS {
             for (s, u) in state.fields[c].iter_mut().zip(&update.fields[c]) {
                 *s += dt * u;
             }
         }
     }
-    (state, threads)
+    (state, map.threads())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One sweep of `variant` from a zeroed update, returning the update
+    /// and the operator's statistics.
+    fn sweep(
+        mesh: &EdgeList,
+        state: &NodeState,
+        variant: Variant,
+        engine: Option<&ExecPolicy>,
+    ) -> (NodeState, EdgeMap) {
+        let mut update = NodeState::zeroed(state.len());
+        let lane = Flux { mesh, state };
+        let mut map = EdgeMap::new(variant, backend::current(), engine);
+        map.inspect(&lane, state.len());
+        map.run(&lane, update.fields.each_mut().map(Vec::as_mut_slice));
+        (update, map)
+    }
 
     fn assert_state_close(a: &NodeState, b: &NodeState, tol: f32) {
         for c in 0..COMPONENTS {
@@ -501,8 +241,7 @@ mod tests {
         // Diffusive exchange moves mass between nodes, never creates it.
         let mesh = triangle_mesh(6);
         let state = initial_state(36);
-        let mut update = NodeState::zeroed(36);
-        flux_sweep(&mesh, &state, &mut update, Variant::Serial);
+        let (update, _) = sweep(&mesh, &state, Variant::Serial, None);
         for c in 0..COMPONENTS {
             let net: f32 = update.fields[c].iter().sum();
             assert!(net.abs() < 1e-4, "component {c} net {net}");
@@ -513,15 +252,13 @@ mod tests {
     fn all_variants_agree_on_one_sweep() {
         let mesh = triangle_mesh(8);
         let state = initial_state(64);
-        let mut reference = NodeState::zeroed(64);
-        flux_sweep(&mesh, &state, &mut reference, Variant::Serial);
+        let (reference, _) = sweep(&mesh, &state, Variant::Serial, None);
         for variant in Variant::ALL {
-            let mut update = NodeState::zeroed(64);
-            let (util, depth) = flux_sweep(&mesh, &state, &mut update, variant);
+            let (update, map) = sweep(&mesh, &state, variant, None);
             assert_state_close(&update, &reference, 1e-3);
             match variant {
-                Variant::Masked => assert!(util.expect("util").slots > 0),
-                Variant::Invec => assert!(depth.expect("depth").invocations() > 0),
+                Variant::Masked => assert!(map.utilization().expect("util").slots > 0),
+                Variant::Invec => assert!(map.depth().expect("depth").invocations() > 0),
                 _ => {}
             }
         }
@@ -549,12 +286,10 @@ mod tests {
     fn invec_cheaper_than_masked_in_model() {
         let mesh = triangle_mesh(24);
         let state = initial_state(mesh.num_vertices());
-        let mut u1 = NodeState::zeroed(state.len());
         invector_simd::count::reset();
-        flux_sweep(&mesh, &state, &mut u1, Variant::Invec);
+        sweep(&mesh, &state, Variant::Invec, None);
         let invec_cost = invector_simd::count::take();
-        let mut u2 = NodeState::zeroed(state.len());
-        flux_sweep(&mesh, &state, &mut u2, Variant::Masked);
+        sweep(&mesh, &state, Variant::Masked, None);
         let masked_cost = invector_simd::count::take();
         assert!(invec_cost < masked_cost, "{invec_cost} !< {masked_cost}");
     }
@@ -563,17 +298,14 @@ mod tests {
     fn parallel_sweeps_agree_with_serial_across_thread_counts() {
         let mesh = triangle_mesh(10);
         let state = initial_state(100);
-        let mut reference = NodeState::zeroed(100);
-        flux_sweep(&mesh, &state, &mut reference, Variant::Serial);
+        let (reference, _) = sweep(&mesh, &state, Variant::Serial, None);
         for threads in [2, 3, 8] {
             for variant in [Variant::Serial, Variant::Invec] {
-                let mut update = NodeState::zeroed(100);
                 let policy = ExecPolicy::with_threads(threads);
-                let (depth, used) =
-                    flux_sweep_parallel(&mesh, &state, &mut update, variant, &policy);
+                let (update, map) = sweep(&mesh, &state, variant, Some(&policy));
                 assert_state_close(&update, &reference, 1e-3);
-                assert!(used > 1, "{variant} {threads} threads");
-                assert_eq!(depth.is_some(), variant == Variant::Invec);
+                assert!(map.threads() > 1, "{variant} {threads} threads");
+                assert_eq!(map.depth().is_some(), variant == Variant::Invec);
             }
         }
     }
@@ -599,8 +331,7 @@ mod tests {
         // substantial (this is why the app class needs conflict handling).
         let mesh = triangle_mesh(16);
         let state = initial_state(mesh.num_vertices());
-        let mut update = NodeState::zeroed(state.len());
-        let (_, depth) = flux_sweep(&mesh, &state, &mut update, Variant::Invec);
-        assert!(depth.expect("depth").mean() > 1.0);
+        let (_, map) = sweep(&mesh, &state, Variant::Invec, None);
+        assert!(map.depth().expect("depth").mean() > 1.0);
     }
 }

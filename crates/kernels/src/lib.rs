@@ -7,6 +7,8 @@
 //! (`tiling_and_grouping`), conflict-masking, and the paper's in-vector
 //! reduction. Every vectorized variant is differential-tested against the
 //! serial baseline (and against textbook references: Dijkstra, union-find).
+//! The scatter-add kernels (PageRank, SpMV, [`euler`], and Moldyn in its own
+//! crate) are lanes on one [edge-map operator](edgemap).
 //!
 //! # Example
 //!
@@ -24,6 +26,7 @@
 
 mod bfs;
 mod common;
+pub mod edgemap;
 pub mod euler;
 mod pagerank;
 pub mod relax;

@@ -7,19 +7,12 @@
 
 use std::time::Instant;
 
-use invector_core::accumulate::{adaptive_accumulate_with, invec_accumulate_with, InvecStats};
-use invector_core::backend::Backend;
-use invector_core::exec::{run_plan, ExecPlan, ExecVariant, TaskItems};
-use invector_core::masking::PositionFeeder;
-use invector_core::ops::Sum;
-use invector_core::stats::{DepthHistogram, Utilization};
-use invector_core::{reduce_alg1_with, serial_accumulate};
-use invector_graph::group::{group_by_key, Grouping};
-use invector_graph::tile::{tile_edges, DEFAULT_BLOCK_VERTICES};
+use invector_graph::tile::DEFAULT_BLOCK_VERTICES;
 use invector_graph::EdgeList;
-use invector_simd::{conflict_free_subset, F32x16, I32x16, Mask16};
+use invector_simd::{F32x16, I32x16, Mask16};
 
 use crate::common::{ExecPolicy, RunResult, Timings, Variant};
+use crate::edgemap::{EdgeLane, EdgeMap, Lanes, Target};
 
 /// PageRank parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,94 +56,26 @@ impl Default for PageRankConfig {
 ///
 /// Panics if the graph has no vertices.
 pub fn pagerank(graph: &EdgeList, variant: Variant, config: &PageRankConfig) -> RunResult<f32> {
-    use crate::common::Variant::{Grouped, Invec, Masked, Serial, SerialTiled};
     let nv = graph.num_vertices();
     assert!(nv > 0, "PageRank needs at least one vertex");
-    let mut timings = Timings::default();
-
-    // Inspector: tiling (all vectorized variants + tiling_serial).
-    let working = match variant {
-        Serial => graph.clone(),
-        _ => {
-            let t0 = Instant::now();
-            let tiling = tile_edges(graph, config.block_vertices);
-            let tiled = graph.permuted(&tiling.perm);
-            timings.tiling = t0.elapsed();
-            tiled
-        }
-    };
-
-    // Inspector: grouping (tiling_and_grouping only; reused every iteration
-    // because PageRank's edge set is static).
-    let grouping: Option<Grouping> = if variant.needs_grouping() {
-        let t0 = Instant::now();
-        let positions: Vec<u32> = (0..working.num_edges() as u32).collect();
-        let g = group_by_key(&positions, working.dst());
-        timings.grouping = t0.elapsed();
-        Some(g)
-    } else {
-        None
-    };
-
-    // Engine plan (parallel runs only): the edge set is static, so the
-    // stream partition is built once and reused by every iteration.
-    let plan: Option<ExecPlan> = if config.exec.threads > 1 {
-        let t0 = Instant::now();
-        let p = ExecPlan::new(working.dst(), nv, &config.exec);
-        timings.partition = t0.elapsed();
-        Some(p)
-    } else {
-        None
-    };
-
+    // Resolve the reduction backend once per run (Auto → native when the
+    // CPU supports AVX-512); the hot loops never re-probe. The edge set is
+    // static, so the inspector (tiling, grouping, engine plan) runs once.
+    let engine = (config.exec.threads > 1).then_some(&config.exec);
+    let mut map = EdgeMap::new(variant, config.exec.backend.resolve(), engine);
+    let working = map.tile(graph, config.block_vertices);
     let deg: Vec<f32> = graph.out_degrees().iter().map(|&d| d as f32).collect();
     let mut rank = vec![1.0 / nv as f32; nv];
     let mut sum = vec![0.0f32; nv];
-    let mut utilization = Utilization::default();
-    let mut depth = DepthHistogram::new();
+    map.inspect(&EdgeRank { g: &working, rank: &rank, deg: &deg }, nv);
     let mut iterations = 0;
-    // Resolve the reduction backend once per run (Auto → native when the
-    // CPU supports AVX-512); the hot loops below never re-probe.
-    let backend = config.exec.backend.resolve();
 
     let instr_before = invector_simd::count::read();
     let t_compute = Instant::now();
     while iterations < config.max_iters {
         iterations += 1;
         sum.fill(0.0);
-        match (&plan, variant) {
-            (Some(plan), _) => {
-                edge_phase_parallel(
-                    plan,
-                    &config.exec,
-                    variant,
-                    backend,
-                    &working,
-                    &rank,
-                    &deg,
-                    &mut sum,
-                    &mut depth,
-                );
-            }
-            (None, Serial | SerialTiled) => {
-                edge_phase_serial(&working, &rank, &deg, &mut sum);
-            }
-            (None, Invec) => {
-                edge_phase_invec(&working, backend, &rank, &deg, &mut sum, &mut depth);
-            }
-            (None, Masked) => {
-                edge_phase_masked(&working, &rank, &deg, &mut sum, &mut utilization);
-            }
-            (None, Grouped) => {
-                edge_phase_grouped(
-                    &working,
-                    grouping.as_ref().expect("grouping built above"),
-                    &rank,
-                    &deg,
-                    &mut sum,
-                );
-            }
-        }
+        map.run(&EdgeRank { g: &working, rank: &rank, deg: &deg }, [&mut sum]);
         // Vertex phase + convergence test (identical across variants).
         let base = (1.0 - config.damping) / nv as f32;
         let mut delta = 0.0f64;
@@ -165,166 +90,53 @@ pub fn pagerank(graph: &EdgeList, variant: Variant, config: &PageRankConfig) -> 
             break;
         }
     }
-    timings.compute = t_compute.elapsed();
+    let timings = Timings { compute: t_compute.elapsed(), ..map.timings() };
 
-    let threads = plan.as_ref().map_or(1, ExecPlan::num_tasks);
     RunResult {
         values: rank,
         iterations,
         timings,
         instructions: invector_simd::count::read().wrapping_sub(instr_before),
-        utilization: (plan.is_none() && variant.records_utilization()).then_some(utilization),
-        depth: (variant.exec_variant() == ExecVariant::Invec
-            && (plan.is_some() || variant.records_depth()))
-        .then_some(depth),
-        threads,
+        utilization: map.utilization(),
+        depth: map.depth(),
+        threads: map.threads(),
     }
 }
 
-/// Parallel edge phase: each engine worker reduces its share of the edge
-/// stream into its partition of `sum` (owner-computes: a disjoint slice of
-/// `sum` itself; privatized: a touched-range-bounded scratch array).
-#[allow(clippy::too_many_arguments)]
-fn edge_phase_parallel(
-    plan: &ExecPlan,
-    exec: &ExecPolicy,
-    variant: Variant,
-    backend: Backend,
-    g: &EdgeList,
-    rank: &[f32],
-    deg: &[f32],
-    sum: &mut [f32],
-    depth: &mut DepthHistogram,
-) {
-    let (src, dst) = (g.src(), g.dst());
-    let worker = variant.exec_variant();
-    let stats = run_plan::<f32, Sum, InvecStats, _>(plan, sum, exec.deterministic, |ctx, view| {
-        let lo = ctx.lo as i32;
-        // Gather this task's share of the stream: rebased destination keys
-        // plus the per-edge contributions of Figure 1's loop body.
-        let contribution = |p: usize| {
-            let nx = src[p] as usize;
-            (dst[p] - lo, rank[nx] / deg[nx])
-        };
-        let (keys, vals): (Vec<i32>, Vec<f32>) = match &ctx.items {
-            TaskItems::Span(range) => range.clone().map(contribution).unzip(),
-            TaskItems::Picked(picked) => picked.iter().map(|&p| contribution(p as usize)).unzip(),
-        };
-        match worker {
-            ExecVariant::Serial => {
-                serial_accumulate::<f32, Sum>(view, &keys, &vals);
-                invector_simd::count::bump(SERIAL_EDGE_COST * keys.len() as u64);
-                InvecStats::default()
-            }
-            ExecVariant::Invec => invec_accumulate_with::<f32, Sum>(backend, view, &keys, &vals),
-            ExecVariant::Adaptive => {
-                adaptive_accumulate_with::<f32, Sum>(backend, view, &keys, &vals)
-            }
-        }
-    });
-    for s in &stats {
-        depth.merge(&s.depth);
-    }
+/// Figure 1's loop body: `sum[ny] += rank[nx] / nneighbor[nx]` per edge.
+struct EdgeRank<'a> {
+    g: &'a EdgeList,
+    rank: &'a [f32],
+    deg: &'a [f32],
 }
 
-/// Modeled scalar cost of one edge of the Figure 1 loop: two index loads,
-/// rank and degree loads, a divide, and the load-add-store on `sum`.
-pub const SERIAL_EDGE_COST: u64 = 8;
+impl EdgeLane<1> for EdgeRank<'_> {
+    const TARGET: Target = Target::One;
+    /// Two index loads, rank and degree loads, a divide, and the
+    /// load-add-store on `sum`.
+    const SERIAL_ITEM_COST: u64 = 8;
 
-/// Scalar edge phase: the paper's Figure 1 loop.
-fn edge_phase_serial(g: &EdgeList, rank: &[f32], deg: &[f32], sum: &mut [f32]) {
-    let (src, dst) = (g.src(), g.dst());
-    for j in 0..g.num_edges() {
-        let nx = src[j] as usize;
-        let ny = dst[j] as usize;
-        sum[ny] += rank[nx] / deg[nx];
+    fn endpoints(&self) -> (&[i32], &[i32]) {
+        (self.g.src(), self.g.dst())
     }
-    invector_simd::count::bump(SERIAL_EDGE_COST * g.num_edges() as u64);
-}
 
-/// In-vector reduction edge phase: the vectorized loop of Figure 7.
-fn edge_phase_invec(
-    g: &EdgeList,
-    backend: Backend,
-    rank: &[f32],
-    deg: &[f32],
-    sum: &mut [f32],
-    depth: &mut DepthHistogram,
-) {
-    let (src, dst) = (g.src(), g.dst());
-    let mut j = 0;
-    while j < g.num_edges() {
-        let (vnx, active) = I32x16::load_partial(&src[j..], 0);
-        let (vny, _) = I32x16::load_partial(&dst[j..], 0);
-        let vrank = F32x16::zero().mask_gather(active, rank, vnx);
-        let vdeg = F32x16::splat(1.0).mask_gather(active, deg, vnx);
-        let mut vadd = vrank / vdeg;
-        let (safe, d) =
-            reduce_alg1_with::<f32, invector_core::ops::Sum, 16>(backend, active, vny, &mut vadd);
-        depth.record(d);
-        let vsum = F32x16::zero().mask_gather(safe, sum, vny);
-        (vsum + vadd).mask_scatter(safe, sum, vny);
-        j += 16;
+    #[inline]
+    fn scalar(&self, _: usize, nx: usize, _: usize) -> Option<[f32; 1]> {
+        Some([self.rank[nx] / self.deg[nx]])
     }
-}
 
-/// Conflict-masking edge phase (Figure 3 applied to PageRank).
-fn edge_phase_masked(
-    g: &EdgeList,
-    rank: &[f32],
-    deg: &[f32],
-    sum: &mut [f32],
-    util: &mut Utilization,
-) {
-    let (src, dst) = (g.src(), g.dst());
-    let mut feeder = PositionFeeder::new(0, g.num_edges());
-    let mut vpos = I32x16::zero();
-    let mut active = Mask16::none();
-    loop {
-        active |= feeder.refill(!active, &mut vpos);
-        if active.is_empty() {
-            break;
-        }
-        let vnx = I32x16::zero().mask_gather(active, src, vpos);
-        let vny = I32x16::zero().mask_gather(active, dst, vpos);
-        let vrank = F32x16::zero().mask_gather(active, rank, vnx);
-        let vdeg = F32x16::splat(1.0).mask_gather(active, deg, vnx);
-        let vadd = vrank / vdeg;
-        let safe = conflict_free_subset(active, vny);
-        let vsum = F32x16::zero().mask_gather(safe, sum, vny);
-        (vsum + vadd).mask_scatter(safe, sum, vny);
-        util.record(u64::from(safe.count_ones()), 16);
-        active = active.and_not(safe);
-    }
-}
-
-/// Grouped (inspector/executor) edge phase: unmasked SIMD over
-/// conflict-free windows.
-fn edge_phase_grouped(
-    g: &EdgeList,
-    grouping: &Grouping,
-    rank: &[f32],
-    deg: &[f32],
-    sum: &mut [f32],
-) {
-    let (src, dst) = (g.src(), g.dst());
-    for w in 0..grouping.num_windows() {
-        let (slots, maskbits) = grouping.window(w);
-        let active = Mask16::from_bits(u32::from(maskbits));
-        let vpos = I32x16::from_array(std::array::from_fn(|i| slots[i] as i32));
-        let vnx = I32x16::zero().mask_gather(active, src, vpos);
-        let vny = I32x16::zero().mask_gather(active, dst, vpos);
-        let vrank = F32x16::zero().mask_gather(active, rank, vnx);
-        let vdeg = F32x16::splat(1.0).mask_gather(active, deg, vnx);
-        let vadd = vrank / vdeg;
-        let vsum = F32x16::zero().mask_gather(active, sum, vny);
-        (vsum + vadd).mask_scatter(active, sum, vny);
+    #[inline]
+    fn vector(&self, active: Mask16, _: Lanes, vnx: I32x16, _: I32x16) -> (Mask16, [F32x16; 1]) {
+        let vrank = F32x16::zero().mask_gather(active, self.rank, vnx);
+        let vdeg = F32x16::splat(1.0).mask_gather(active, self.deg, vnx);
+        (active, [vrank / vdeg])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::ExecVariant;
     use invector_graph::gen;
 
     fn assert_close(a: &[f32], b: &[f32], tol: f32) {

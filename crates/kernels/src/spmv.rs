@@ -10,15 +10,12 @@
 use std::time::Instant;
 
 use invector_core::backend::Backend;
-use invector_core::masking::PositionFeeder;
-use invector_core::reduce_alg1_with;
-use invector_core::stats::{DepthHistogram, Utilization};
-use invector_graph::group::{group_by_key, Grouping};
-use invector_graph::tile::{tile_edges, DEFAULT_BLOCK_VERTICES};
+use invector_graph::tile::DEFAULT_BLOCK_VERTICES;
 use invector_graph::EdgeList;
-use invector_simd::{conflict_free_subset, F32x16, I32x16, Mask16};
+use invector_simd::{F32x16, I32x16, Mask16};
 
 use crate::common::{RunResult, Timings, Variant};
+use crate::edgemap::{EdgeLane, EdgeMap, Lanes, Target};
 
 /// Computes `y = A·x` where `A` is the weighted adjacency matrix of
 /// `graph` (entry `A[dst][src] = weight`), using the chosen strategy.
@@ -52,127 +49,60 @@ pub fn spmv_with_policy(
 
 fn spmv_single(graph: &EdgeList, x: &[f32], variant: Variant, backend: Backend) -> RunResult<f32> {
     assert_eq!(x.len(), graph.num_vertices(), "input vector length mismatch");
-    let mut timings = Timings::default();
-
-    let working = match variant {
-        Variant::Serial => graph.clone(),
-        _ => {
-            let t0 = Instant::now();
-            let tiling = tile_edges(graph, DEFAULT_BLOCK_VERTICES);
-            let tiled = graph.permuted(&tiling.perm);
-            timings.tiling = t0.elapsed();
-            tiled
-        }
-    };
-    let grouping: Option<Grouping> = match variant {
-        Variant::Grouped => {
-            let t0 = Instant::now();
-            let positions: Vec<u32> = (0..working.num_edges() as u32).collect();
-            let g = group_by_key(&positions, working.dst());
-            timings.grouping = t0.elapsed();
-            Some(g)
-        }
-        _ => None,
-    };
+    let mut map = EdgeMap::new(variant, backend, None);
+    let working = map.tile(graph, DEFAULT_BLOCK_VERTICES);
+    let lane = NonZero { g: &working, x };
+    map.inspect(&lane, graph.num_vertices());
 
     let mut y = vec![0.0f32; graph.num_vertices()];
-    let mut utilization = Utilization::default();
-    let mut depth = DepthHistogram::new();
     let instr_before = invector_simd::count::read();
     let t = Instant::now();
-    match variant {
-        Variant::Serial | Variant::SerialTiled => spmv_serial(&working, x, &mut y),
-        Variant::Invec => spmv_invec(&working, backend, x, &mut y, &mut depth),
-        Variant::Masked => spmv_masked(&working, x, &mut y, &mut utilization),
-        Variant::Grouped => {
-            spmv_grouped(&working, grouping.as_ref().expect("grouping built above"), x, &mut y)
-        }
-    }
-    timings.compute = t.elapsed();
+    map.run(&lane, [&mut y]);
+    let timings = Timings { compute: t.elapsed(), ..map.timings() };
 
     RunResult {
         values: y,
         iterations: 1,
         timings,
         instructions: invector_simd::count::read().wrapping_sub(instr_before),
-        utilization: variant.records_utilization().then_some(utilization),
-        depth: variant.records_depth().then_some(depth),
+        utilization: map.utilization(),
+        depth: map.depth(),
         threads: 1,
     }
 }
 
-/// Modeled scalar cost of one non-zero: index loads, `x` load, weight load,
-/// multiply, and the load-add-store on `y`.
-pub const SERIAL_NNZ_COST: u64 = 8;
-
-fn spmv_serial(g: &EdgeList, x: &[f32], y: &mut [f32]) {
-    let (src, dst, w) = (g.src(), g.dst(), g.weight());
-    for j in 0..g.num_edges() {
-        y[dst[j] as usize] += w[j] * x[src[j] as usize];
-    }
-    invector_simd::count::bump(SERIAL_NNZ_COST * g.num_edges() as u64);
+/// One non-zero: `y[dst] += weight · x[src]`.
+struct NonZero<'a> {
+    g: &'a EdgeList,
+    x: &'a [f32],
 }
 
-fn spmv_invec(
-    g: &EdgeList,
-    backend: Backend,
-    x: &[f32],
-    y: &mut [f32],
-    depth: &mut DepthHistogram,
-) {
-    let (src, dst, w) = (g.src(), g.dst(), g.weight());
-    let mut j = 0;
-    while j < g.num_edges() {
-        let (vsrc, active) = I32x16::load_partial(&src[j..], 0);
-        let (vdst, _) = I32x16::load_partial(&dst[j..], 0);
-        let (vw, _) = F32x16::load_partial(&w[j..], 0.0);
-        let vx = F32x16::zero().mask_gather(active, x, vsrc);
-        let mut prod = vw * vx;
-        let (safe, d) =
-            reduce_alg1_with::<f32, invector_core::ops::Sum, 16>(backend, active, vdst, &mut prod);
-        depth.record(d);
-        let old = F32x16::zero().mask_gather(safe, y, vdst);
-        (old + prod).mask_scatter(safe, y, vdst);
-        j += 16;
-    }
-}
+impl EdgeLane<1> for NonZero<'_> {
+    const TARGET: Target = Target::One;
+    /// Index loads, `x` load, weight load, multiply, and the load-add-store
+    /// on `y`.
+    const SERIAL_ITEM_COST: u64 = 8;
 
-fn spmv_masked(g: &EdgeList, x: &[f32], y: &mut [f32], util: &mut Utilization) {
-    let (src, dst, w) = (g.src(), g.dst(), g.weight());
-    let mut feeder = PositionFeeder::new(0, g.num_edges());
-    let mut vpos = I32x16::zero();
-    let mut active = Mask16::none();
-    loop {
-        active |= feeder.refill(!active, &mut vpos);
-        if active.is_empty() {
-            break;
-        }
-        let vsrc = I32x16::zero().mask_gather(active, src, vpos);
-        let vdst = I32x16::zero().mask_gather(active, dst, vpos);
-        let vw = F32x16::zero().mask_gather(active, w, vpos);
-        let vx = F32x16::zero().mask_gather(active, x, vsrc);
-        let prod = vw * vx;
-        let safe = conflict_free_subset(active, vdst);
-        let old = F32x16::zero().mask_gather(safe, y, vdst);
-        (old + prod).mask_scatter(safe, y, vdst);
-        util.record(u64::from(safe.count_ones()), 16);
-        active = active.and_not(safe);
+    fn endpoints(&self) -> (&[i32], &[i32]) {
+        (self.g.src(), self.g.dst())
     }
-}
 
-fn spmv_grouped(g: &EdgeList, grouping: &Grouping, x: &[f32], y: &mut [f32]) {
-    let (src, dst, w) = (g.src(), g.dst(), g.weight());
-    for win in 0..grouping.num_windows() {
-        let (slots, maskbits) = grouping.window(win);
-        let active = Mask16::from_bits(u32::from(maskbits));
-        let vpos = I32x16::from_array(std::array::from_fn(|i| slots[i] as i32));
-        let vsrc = I32x16::zero().mask_gather(active, src, vpos);
-        let vdst = I32x16::zero().mask_gather(active, dst, vpos);
-        let vw = F32x16::zero().mask_gather(active, w, vpos);
-        let vx = F32x16::zero().mask_gather(active, x, vsrc);
-        let prod = vw * vx;
-        let old = F32x16::zero().mask_gather(active, y, vdst);
-        (old + prod).mask_scatter(active, y, vdst);
+    #[inline]
+    fn scalar(&self, j: usize, src: usize, _: usize) -> Option<[f32; 1]> {
+        Some([self.g.weight()[j] * self.x[src]])
+    }
+
+    #[inline]
+    fn vector(
+        &self,
+        active: Mask16,
+        lanes: Lanes,
+        vsrc: I32x16,
+        _: I32x16,
+    ) -> (Mask16, [F32x16; 1]) {
+        let vw = lanes.load(active, self.g.weight());
+        let vx = F32x16::zero().mask_gather(active, self.x, vsrc);
+        (active, [vw * vx])
     }
 }
 

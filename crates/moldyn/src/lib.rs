@@ -5,8 +5,9 @@
 //! force loop updates **two** indexed targets per interaction pair (force on
 //! `i`, reaction on `j`), in three components each. The crate builds the
 //! whole substrate — FCC-lattice [inputs](input), cell-list
-//! [neighbor lists](neighbor), Lennard-Jones [force kernels](force) in
-//! every implementation strategy — and a [simulation driver](sim) matching
+//! [neighbor lists](neighbor), the Lennard-Jones [force lane](force) that
+//! runs every implementation strategy on the kernels crate's edge-map
+//! operator — and a [simulation driver](sim) matching
 //! the paper's setup (neighbor rebuild every 20 iterations).
 //!
 //! # Example

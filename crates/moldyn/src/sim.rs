@@ -7,15 +7,13 @@
 //! emitting pairs in cell order) to all variants, and the grouped variant
 //! additionally re-groups after every rebuild.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use invector_core::stats::{DepthHistogram, Utilization};
-use invector_graph::group::{group_by_two_keys, Grouping};
+use invector_kernels::edgemap::EdgeMap;
 use invector_kernels::{ExecPolicy, Timings, Variant};
 
-use crate::force::{
-    forces_grouped, forces_invec, forces_masked, forces_parallel, forces_serial, Forces,
-};
+use crate::force::{Forces, PairForces};
 use crate::input::{Molecules, CUTOFF};
 use crate::neighbor::{build_pairs, PairList};
 
@@ -59,46 +57,12 @@ pub fn simulate(initial: &Molecules, variant: Variant, iterations: u32) -> SimRe
     simulate_with_policy(initial, variant, iterations, &ExecPolicy::default())
 }
 
-/// The force-phase driver, decided **once** before the iteration loop
-/// (instead of re-matching the variant/thread combination every step).
-#[derive(Debug, Clone, Copy)]
-enum ForcePath {
-    /// Fan out over the execution engine's thread pool.
-    Engine,
-    /// Scalar pair loop.
-    Scalar,
-    /// In-vector reduction SIMD.
-    Invec,
-    /// Conflict-masking SIMD.
-    Masked,
-    /// Pre-grouped conflict-free SIMD.
-    Grouped,
-}
-
-impl ForcePath {
-    /// Picks the driver: the engine when the policy asks for threads and
-    /// the variant's conflict handling composes with partitioning
-    /// ([`Variant::runs_on_engine`] — grouped and masked keep whole-array
-    /// inspector state, so they stay on their serial drivers).
-    fn choose(variant: Variant, policy: &ExecPolicy) -> ForcePath {
-        if policy.threads > 1 && variant.runs_on_engine() {
-            return ForcePath::Engine;
-        }
-        match variant {
-            Variant::Serial | Variant::SerialTiled => ForcePath::Scalar,
-            Variant::Invec => ForcePath::Invec,
-            Variant::Masked => ForcePath::Masked,
-            Variant::Grouped => ForcePath::Grouped,
-        }
-    }
-}
-
 /// [`simulate`] with an explicit [`ExecPolicy`]: when `policy.threads > 1`
-/// the force phase fans out over the persistent thread pool
-/// ([`forces_parallel`]), with the per-worker strategy still chosen by
-/// `variant`. Grouped and masked variants keep their serial drivers (their
-/// conflict-resolution state is whole-array), so thread counts apply to the
-/// serial and in-vector paths.
+/// the force phase fans out over the persistent thread pool, with the
+/// per-worker strategy still chosen by `variant`. Grouped and masked
+/// variants keep their single-threaded strategies (their conflict-resolution
+/// state is whole-array — [`Variant::runs_on_engine`]), so thread counts
+/// apply to the serial and in-vector paths.
 ///
 /// # Panics
 ///
@@ -113,32 +77,23 @@ pub fn simulate_with_policy(
     let mut m = initial.clone();
     let n = m.len();
     let mut forces = Forces::zeroed(n);
-    let mut scratch = vec![0i32; n];
-    let mut timings = Timings::default();
-    let mut utilization = Utilization::default();
-    let mut depth = DepthHistogram::new();
+    let mut rebuild_time = Duration::ZERO;
+    let mut compute_time = Duration::ZERO;
     let mut pairs = PairList::default();
-    let mut grouping: Option<Grouping> = None;
-    let mut threads_used = 1usize;
-    let path = ForcePath::choose(variant, policy);
-    // Resolved once per run: native AVX-512 when the policy allows and the
-    // CPU supports it, else the portable model.
-    let backend = policy.backend.resolve();
+    // Strategy and backend resolved once per run.
+    let engine = (policy.threads > 1 && variant.runs_on_engine()).then_some(policy);
+    let mut map = EdgeMap::new(variant, policy.backend.resolve(), engine);
     let instr_before = invector_simd::count::read();
 
     for iter in 0..iterations {
         // Neighbor list rebuild (the "tiling" bar of Figure 12): cell-list
         // construction already emits pairs in cache-friendly cell order.
+        // The grouped variant re-groups the new pair list.
         if iter % REBUILD_INTERVAL == 0 {
             let t = Instant::now();
             pairs = build_pairs(&m, CUTOFF);
-            timings.tiling += t.elapsed();
-            if variant.needs_grouping() {
-                let t = Instant::now();
-                let positions: Vec<u32> = (0..pairs.len() as u32).collect();
-                grouping = Some(group_by_two_keys(&positions, &pairs.i, &pairs.j));
-                timings.grouping += t.elapsed();
-            }
+            rebuild_time += t.elapsed();
+            map.inspect(&PairForces::new(&m, &pairs, CUTOFF), n);
         }
 
         let t = Instant::now();
@@ -149,43 +104,24 @@ pub fn simulate_with_policy(
         axpy(&mut m.pz, &m.vz, DT);
         // Force evaluation.
         forces.clear();
-        match path {
-            ForcePath::Engine => {
-                let (d, used) = forces_parallel(&m, &pairs, CUTOFF, &mut forces, variant, policy);
-                if let Some(d) = d {
-                    depth.merge(&d);
-                }
-                threads_used = threads_used.max(used);
-            }
-            ForcePath::Scalar => forces_serial(&m, &pairs, CUTOFF, &mut forces),
-            ForcePath::Invec => forces_invec(backend, &m, &pairs, CUTOFF, &mut forces, &mut depth),
-            ForcePath::Masked => {
-                forces_masked(&m, &pairs, CUTOFF, &mut forces, &mut scratch, &mut utilization);
-            }
-            ForcePath::Grouped => forces_grouped(
-                &m,
-                &pairs,
-                grouping.as_ref().expect("grouping built at rebuild"),
-                CUTOFF,
-                &mut forces,
-            ),
-        }
+        map.run(&PairForces::new(&m, &pairs, CUTOFF), forces.components_mut());
         // Velocity update (regular SIMD).
         axpy(&mut m.vx, &forces.fx, DT);
         axpy(&mut m.vy, &forces.fy, DT);
         axpy(&mut m.vz, &forces.fz, DT);
-        timings.compute += t.elapsed();
+        compute_time += t.elapsed();
     }
 
+    let inspector = map.timings();
     SimResult {
         molecules: m,
         iterations,
-        timings,
+        timings: Timings { tiling: rebuild_time, compute: compute_time, ..inspector },
         num_pairs: pairs.len(),
         instructions: invector_simd::count::read().wrapping_sub(instr_before),
-        utilization: variant.records_utilization().then_some(utilization),
-        depth: variant.records_depth().then_some(depth),
-        threads: threads_used,
+        utilization: map.utilization(),
+        depth: map.depth(),
+        threads: map.threads(),
     }
 }
 
@@ -248,12 +184,8 @@ mod tests {
         let initial = fcc_lattice(2, 17);
         for variant in Variant::ALL {
             let r = simulate(&initial, variant, 5);
-            assert!(r.timings.tiling > std::time::Duration::ZERO, "{variant}");
-            assert_eq!(
-                r.timings.grouping > std::time::Duration::ZERO,
-                variant.needs_grouping(),
-                "{variant}"
-            );
+            assert!(r.timings.tiling > Duration::ZERO, "{variant}");
+            assert_eq!(r.timings.grouping > Duration::ZERO, variant.needs_grouping(), "{variant}");
             assert_eq!(r.utilization.is_some(), variant.records_utilization(), "{variant}");
             assert_eq!(r.depth.is_some(), variant.records_depth(), "{variant}");
         }

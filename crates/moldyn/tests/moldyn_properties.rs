@@ -2,11 +2,28 @@
 
 use proptest::prelude::*;
 
-use invector_core::stats::{DepthHistogram, Utilization};
-use invector_graph::group::group_by_two_keys;
-use invector_moldyn::force::{forces_grouped, forces_invec, forces_masked, forces_serial, Forces};
+use invector_core::backend::Backend;
+use invector_kernels::edgemap::EdgeMap;
+use invector_kernels::Variant;
+use invector_moldyn::force::{Forces, PairForces};
 use invector_moldyn::neighbor::{build_pairs, PairList};
 use invector_moldyn::Molecules;
+
+/// One single-threaded force evaluation of `variant` on `backend`.
+fn forces(
+    m: &Molecules,
+    pairs: &PairList,
+    cutoff: f32,
+    variant: Variant,
+    backend: Backend,
+) -> Forces {
+    let lane = PairForces::new(m, pairs, cutoff);
+    let mut map = EdgeMap::new(variant, backend, None);
+    map.inspect(&lane, m.len());
+    let mut f = Forces::zeroed(m.len());
+    map.run(&lane, f.components_mut());
+    f
+}
 
 /// Random molecule clouds in a box, min-separated by construction rejection.
 fn molecules_strategy() -> impl Strategy<Value = Molecules> {
@@ -71,8 +88,7 @@ proptest! {
         let pairs = build_pairs(&m, cutoff);
         let n = m.len();
 
-        let mut serial = Forces::zeroed(n);
-        forces_serial(&m, &pairs, cutoff, &mut serial);
+        let serial = forces(&m, &pairs, cutoff, Variant::Serial, Backend::Portable);
         let net: f32 = serial.fx.iter().sum();
         // Forces come in equal-and-opposite pairs: the net must be tiny
         // relative to the largest component.
@@ -84,21 +100,14 @@ proptest! {
             a.fx.iter().zip(&b.fx).chain(a.fy.iter().zip(&b.fy)).chain(a.fz.iter().zip(&b.fz))
                 .all(|(x, y)| (x - y).abs() <= 1e-2 * (x.abs() + y.abs() + 1.0))
         };
-        let mut invec = Forces::zeroed(n);
-        let mut depth = DepthHistogram::new();
-        forces_invec(invector_core::backend::current(), &m, &pairs, cutoff, &mut invec, &mut depth);
+        let invec =
+            forces(&m, &pairs, cutoff, Variant::Invec, invector_core::backend::current());
         prop_assert!(close(&invec, &serial), "invec diverged");
 
-        let mut masked = Forces::zeroed(n);
-        let mut scratch = vec![0i32; n];
-        let mut util = Utilization::default();
-        forces_masked(&m, &pairs, cutoff, &mut masked, &mut scratch, &mut util);
+        let masked = forces(&m, &pairs, cutoff, Variant::Masked, Backend::Portable);
         prop_assert!(close(&masked, &serial), "masked diverged");
 
-        let positions: Vec<u32> = (0..pairs.len() as u32).collect();
-        let grouping = group_by_two_keys(&positions, &pairs.i, &pairs.j);
-        let mut grouped = Forces::zeroed(n);
-        forces_grouped(&m, &pairs, &grouping, cutoff, &mut grouped);
+        let grouped = forces(&m, &pairs, cutoff, Variant::Grouped, Backend::Portable);
         prop_assert!(close(&grouped, &serial), "grouped diverged");
     }
 
@@ -110,12 +119,9 @@ proptest! {
             return Ok(());
         }
         let pairs = build_pairs(&m, 5.0);
-        let n = m.len();
-        let mut wide = Forces::zeroed(n);
-        forces_serial(&m, &pairs, 3.0, &mut wide);
+        let wide = forces(&m, &pairs, 3.0, Variant::Serial, Backend::Portable);
         let tight_pairs = build_pairs(&m, 3.0);
-        let mut tight = Forces::zeroed(n);
-        forces_serial(&m, &tight_pairs, 3.0, &mut tight);
+        let tight = forces(&m, &tight_pairs, 3.0, Variant::Serial, Backend::Portable);
         for (a, b) in wide.fx.iter().zip(&tight.fx) {
             prop_assert!((a - b).abs() <= 1e-3 * (a.abs() + b.abs() + 1.0));
         }
@@ -134,8 +140,7 @@ proptest! {
         };
         let pairs = build_pairs(&m, 3.0);
         prop_assert_eq!(pairs.len(), 0);
-        let mut f = Forces::zeroed(k);
-        forces_serial(&m, &PairList::default(), 3.0, &mut f);
+        let f = forces(&m, &PairList::default(), 3.0, Variant::Serial, Backend::Portable);
         prop_assert!(f.fx.iter().all(|&x| x == 0.0));
     }
 }

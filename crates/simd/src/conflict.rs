@@ -1,8 +1,8 @@
 //! The `vpconflictd` conflict-detection instruction family.
 
+use crate::arch::avx512;
 use crate::count;
 use crate::mask::Mask;
-use crate::native;
 use crate::vector::SimdVec;
 
 /// Detects conflicting lanes in an index vector (`vpconflictd`).
@@ -29,10 +29,10 @@ use crate::vector::SimdVec;
 /// ```
 pub fn conflict_detect<const N: usize>(idx: SimdVec<i32, N>) -> SimdVec<i32, N> {
     count::bump(1);
-    if N == 16 && native::available() {
+    if N == 16 && avx512::available() {
         if let Some(&idx16) = idx.as_array().first_chunk::<16>() {
-            // SAFETY: guarded by `native::available()`.
-            let out = unsafe { native::conflict_i32(idx16) };
+            // SAFETY: guarded by `avx512::available()`.
+            let out = unsafe { avx512::conflict_i32(idx16) };
             return SimdVec::from_array(std::array::from_fn(|i| out[i]));
         }
     }
@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn portable_matches_native_on_random_vectors() {
         use rand::{Rng, SeedableRng};
-        if !crate::native::available() {
+        if !crate::arch::avx512::available() {
             eprintln!("skipping: AVX-512 not available");
             return;
         }
@@ -178,7 +178,7 @@ mod tests {
         for _ in 0..500 {
             let idx: [i32; 16] = std::array::from_fn(|_| rng.gen_range(-4..8));
             // SAFETY: guarded by `available()`.
-            let native = unsafe { crate::native::conflict_i32(idx) };
+            let native = unsafe { crate::arch::avx512::conflict_i32(idx) };
             let portable: [i32; 16] = std::array::from_fn(|i| {
                 let mut bits = 0i32;
                 for j in 0..i {

@@ -11,7 +11,7 @@
 //!
 //! * a **portable model** written in plain Rust, which defines the reference
 //!   semantics and runs on any target, and
-//! * a **native backend** ([`native`]) that executes the hot primitives with
+//! * **native backends** ([`arch`]) that execute the hot primitives with
 //!   real AVX-512 instructions (`_mm512_conflict_epi32`, hardware
 //!   gather/scatter) when the host CPU supports them. The native backend is
 //!   differential-tested against the portable model.
@@ -42,7 +42,6 @@ pub mod arch;
 pub mod count;
 mod element;
 mod mask;
-pub mod native;
 pub mod trace;
 mod vector;
 

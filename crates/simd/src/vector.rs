@@ -4,10 +4,10 @@ use std::any::TypeId;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Sub, SubAssign};
 
+use crate::arch::avx512;
 use crate::count;
 use crate::element::SimdElement;
 use crate::mask::Mask;
-use crate::native;
 
 /// A fixed-width SIMD vector of `N` lanes of `T`, modelling one AVX-512
 /// register (`__m512` / `__m512i` when `T` is 32-bit and `N == 16`).
@@ -391,7 +391,7 @@ fn native_gather<T: SimdElement, const N: usize>(
     base: &[T],
     idx: SimdVec<i32, N>,
 ) -> Option<SimdVec<T, N>> {
-    if N != 16 || !native::available() {
+    if N != 16 || !avx512::available() {
         return None;
     }
     for &i in idx.as_array().iter() {
@@ -401,7 +401,7 @@ fn native_gather<T: SimdElement, const N: usize>(
     if TypeId::of::<T>() == TypeId::of::<f32>() {
         // SAFETY: T == f32 (checked via TypeId); indices validated above.
         let out = unsafe {
-            native::gather_f32(
+            avx512::gather_f32(
                 std::slice::from_raw_parts(base.as_ptr().cast::<f32>(), base.len()),
                 idx16,
             )
@@ -412,7 +412,7 @@ fn native_gather<T: SimdElement, const N: usize>(
     if TypeId::of::<T>() == TypeId::of::<i32>() || TypeId::of::<T>() == TypeId::of::<u32>() {
         // SAFETY: T is a 32-bit integer (checked via TypeId); indices validated.
         let out = unsafe {
-            native::gather_i32(
+            avx512::gather_i32(
                 std::slice::from_raw_parts(base.as_ptr().cast::<i32>(), base.len()),
                 idx16,
             )

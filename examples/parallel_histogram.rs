@@ -6,8 +6,8 @@
 
 use std::time::Instant;
 
+use invector::core::exec::{execute, ExecPolicy, Partition};
 use invector::core::ops::Sum;
-use invector::core::parallel::parallel_invec_accumulate;
 use invector::core::serial_accumulate;
 
 fn main() {
@@ -30,9 +30,12 @@ fn main() {
     for threads in [1, 2, 4, 8] {
         let t = Instant::now();
         let mut hist = vec![0.0f32; bins as usize];
-        let stats = parallel_invec_accumulate::<f32, Sum>(&mut hist, &idx, &weights, threads);
+        let policy =
+            ExecPolicy::with_threads(threads).partition(Partition::Privatized).deterministic(true);
+        let report = execute::<f32, Sum>(&mut hist, &idx, &weights, &policy);
         let elapsed = t.elapsed().as_secs_f64() * 1e3;
-        let d1: f64 = stats.iter().map(|s| s.depth.mean()).sum::<f64>() / stats.len() as f64;
+        let workers = &report.workers;
+        let d1 = workers.iter().map(|w| w.stats.depth.mean()).sum::<f64>() / workers.len() as f64;
         println!("invec x{threads:<2} threads: {elapsed:>8.1} ms   (mean D1 {d1:.3})");
         for (a, b) in hist.iter().zip(&serial) {
             assert!((a - b).abs() <= 1e-2 * (a + b + 1.0), "{a} vs {b}");

@@ -194,8 +194,8 @@ OPTIONS:
   --scale <s>          tiny | small | factor in (0, 1]     [small; run-all: tiny]
   --variant <v>        serial | tiled | grouped | masked | invec | all   [all]
   --threads <n>        worker threads                            [1]
-  --backend <b>        auto | portable | native | avx512 | avx2 | neon
-                       (native = widest ISA the host supports)    [auto]
+  --backend <b>        auto | portable | avx512 | avx2 | neon
+                       (auto = widest ISA the host supports)      [auto]
   --repeat <n>         timed repetitions per variant (best shown) [1]
   --dataset <name>     higgs-twitter | soc-Pokec | amazon0312
   --source <v>         source vertex for sssp/sswp/bfs           [0]

@@ -15,7 +15,7 @@
 //!    `available_backends_are_reported` logs what actually ran.
 //! 2. **Raw primitives** (`x86_64` only, skipped at runtime when the CPU
 //!    lacks AVX-512): every `unsafe` entry point of
-//!    `invector_simd::native` compared against its portable counterpart
+//!    `invector_simd::arch::avx512` compared against its portable counterpart
 //!    across random index distributions, conflict densities, and masks.
 
 use proptest::prelude::*;
@@ -30,7 +30,8 @@ use invector::core::{
     adaptive_accumulate_n, adaptive_accumulate_with, invec_accumulate, invec_accumulate_n,
     invec_accumulate_with, AdaptiveReducer, ReduceOp,
 };
-use invector::simd::{native, I32x16, Mask16, SimdVec};
+use invector::simd::arch::avx512;
+use invector::simd::{I32x16, Mask16, SimdVec};
 
 /// The native backends this host can actually execute; unavailable ones are
 /// skipped (and logged by `available_backends_are_reported`).
@@ -383,23 +384,28 @@ proptest! {
 /// histograms whichever backend executes the reduction.
 #[test]
 fn moldyn_forces_are_bitwise_identical_across_backends() {
-    use invector::core::stats::DepthHistogram;
-    use invector::moldyn::force::{forces_invec, Forces};
+    use invector::kernels::edgemap::EdgeMap;
+    use invector::kernels::Variant;
+    use invector::moldyn::force::{Forces, PairForces};
     use invector::moldyn::input::fcc_lattice;
     use invector::moldyn::neighbor::build_pairs;
 
     let m = fcc_lattice(3, 7);
     let pairs = build_pairs(&m, 3.0);
-    let mut fp = Forces::zeroed(m.len());
-    let mut dp = DepthHistogram::new();
-    forces_invec(Backend::Portable, &m, &pairs, 3.0, &mut fp, &mut dp);
+    let lane = PairForces::new(&m, &pairs, 3.0);
+    let invec_forces = |backend: Backend| {
+        let mut map = EdgeMap::new(Variant::Invec, backend, None);
+        map.inspect(&lane, m.len());
+        let mut f = Forces::zeroed(m.len());
+        map.run(&lane, f.components_mut());
+        (f, map.depth().expect("in-vector depth"))
+    };
+    let (fp, dp) = invec_forces(Backend::Portable);
     // The Moldyn kernel runs the per-vector 16-lane API, which accelerates
     // under AVX-512 and runs portable under the narrower ISAs — bitwise
     // parity must hold for every backend either way.
     for backend in native_backends() {
-        let mut fn_ = Forces::zeroed(m.len());
-        let mut dn = DepthHistogram::new();
-        forces_invec(backend, &m, &pairs, 3.0, &mut fn_, &mut dn);
+        let (fn_, dn) = invec_forces(backend);
         assert_eq!(dp, dn, "{}: depth histograms", backend.name());
         for (axis, (a, b)) in
             [(&fp.fx, &fn_.fx), (&fp.fy, &fn_.fy), (&fp.fz, &fn_.fz)].into_iter().enumerate()
@@ -427,7 +433,7 @@ fn simulation_policy_backends_agree_on_trajectory_and_stats() {
 
     let initial = fcc_lattice(2, 19);
     let portable = ExecPolicy { backend: BackendChoice::Portable, ..ExecPolicy::default() };
-    let nat = ExecPolicy { backend: BackendChoice::Native, ..ExecPolicy::default() };
+    let nat = ExecPolicy { backend: BackendChoice::Auto, ..ExecPolicy::default() };
     let rp = simulate_with_policy(&initial, Variant::Invec, 8, &portable);
     let rn = simulate_with_policy(&initial, Variant::Invec, 8, &nat);
     assert_eq!(rp.molecules, rn.molecules, "trajectories must match bitwise");
@@ -446,7 +452,7 @@ mod raw {
 
     macro_rules! skip_without_avx512 {
         () => {
-            if !native::available() {
+            if !avx512::available() {
                 eprintln!("skipping raw native differential: AVX-512F/CD not available");
                 return Ok(());
             }
@@ -504,13 +510,13 @@ mod raw {
         fn raw_conflict_and_subset_match_portable((idx, mask) in dense_case()) {
             skip_without_avx512!();
             // SAFETY: availability checked above; register-only.
-            let c = unsafe { native::conflict_i32(idx) };
+            let c = unsafe { avx512::conflict_i32(idx) };
             let model = conflict_detect(I32x16::from_array(idx));
             for (i, row) in c.iter().enumerate() {
                 prop_assert_eq!(*row, model.extract(i), "conflict row {}", i);
             }
             // SAFETY: as above.
-            let subset = unsafe { native::conflict_free_subset_u16(mask as u16, idx) };
+            let subset = unsafe { avx512::conflict_free_subset_u16(mask as u16, idx) };
             let expect = conflict_free_subset(Mask16::from_bits(mask), I32x16::from_array(idx));
             prop_assert_eq!(subset, expect.bits() as u16);
         }
@@ -521,12 +527,12 @@ mod raw {
             raw in prop::array::uniform16(-100..100i32),
         ) {
             skip_without_avx512!();
-            check_raw_invec!(native::invec_add_f32, f32, Sum, |v| v as f32 * 0.25, idx, mask, raw);
-            check_raw_invec!(native::invec_min_f32, f32, Min, |v| v as f32 * 0.25, idx, mask, raw);
-            check_raw_invec!(native::invec_max_f32, f32, Max, |v| v as f32 * 0.25, idx, mask, raw);
-            check_raw_invec!(native::invec_add_i32, i32, Sum, |v| v, idx, mask, raw);
-            check_raw_invec!(native::invec_min_i32, i32, Min, |v| v, idx, mask, raw);
-            check_raw_invec!(native::invec_max_i32, i32, Max, |v| v, idx, mask, raw);
+            check_raw_invec!(avx512::invec_add_f32, f32, Sum, |v| v as f32 * 0.25, idx, mask, raw);
+            check_raw_invec!(avx512::invec_min_f32, f32, Min, |v| v as f32 * 0.25, idx, mask, raw);
+            check_raw_invec!(avx512::invec_max_f32, f32, Max, |v| v as f32 * 0.25, idx, mask, raw);
+            check_raw_invec!(avx512::invec_add_i32, i32, Sum, |v| v, idx, mask, raw);
+            check_raw_invec!(avx512::invec_min_i32, i32, Min, |v| v, idx, mask, raw);
+            check_raw_invec!(avx512::invec_max_i32, i32, Max, |v| v, idx, mask, raw);
         }
 
         #[test]
@@ -543,7 +549,7 @@ mod raw {
                 reduce_alg1_arr::<f32, Sum, 3, 16>(active, I32x16::from_array(idx), &mut portable);
             let mut nat = comps;
             // SAFETY: availability checked above; no memory beyond `nat`.
-            let (mn, dn) = unsafe { native::invec_add_arr_f32(mask as u16, idx, &mut nat) };
+            let (mn, dn) = unsafe { avx512::invec_add_arr_f32(mask as u16, idx, &mut nat) };
             prop_assert_eq!(mp.bits() as u16, mn);
             prop_assert_eq!(dp, dn);
             for (c, (p, n)) in portable.iter().zip(&nat).enumerate() {
@@ -569,21 +575,21 @@ mod raw {
             let basef: Vec<f32> = (0..32).map(|k| k as f32 * 1.5 - 7.0).collect();
             let basei: Vec<i32> = (0..32).map(|k| k * 3 - 11).collect();
             // SAFETY: availability checked above; every index is in 0..32.
-            let gf = unsafe { native::gather_f32(&basef, idx) };
-            let gi = unsafe { native::gather_i32(&basei, idx) };
+            let gf = unsafe { avx512::gather_f32(&basef, idx) };
+            let gi = unsafe { avx512::gather_i32(&basei, idx) };
             for l in 0..16 {
                 prop_assert_eq!(gf[l].to_bits(), basef[idx[l] as usize].to_bits());
                 prop_assert_eq!(gi[l], basei[idx[l] as usize]);
             }
             // Scatter through a conflict-free (distinct-index) lane subset.
             // SAFETY: as above.
-            let safe = unsafe { native::conflict_free_subset_u16(mask as u16, idx) };
+            let safe = unsafe { avx512::conflict_free_subset_u16(mask as u16, idx) };
             let dataf: [f32; 16] = raw.map(|v| v as f32 * 0.5);
             let mut outf = basef.clone();
             let mut outi = basei.clone();
             // SAFETY: distinct in-bounds indices under `safe`.
-            unsafe { native::scatter_f32(safe, &mut outf, idx, dataf) };
-            unsafe { native::scatter_i32(safe, &mut outi, idx, raw) };
+            unsafe { avx512::scatter_f32(safe, &mut outf, idx, dataf) };
+            unsafe { avx512::scatter_i32(safe, &mut outi, idx, raw) };
             let mut expectf = basef.clone();
             let mut expecti = basei.clone();
             for l in 0..16 {
@@ -601,12 +607,12 @@ mod raw {
         #[test]
         fn raw_fused_drivers_match_portable_invec_model(items in stream()) {
             skip_without_avx512!();
-            check_raw_driver!(native::accumulate_add_f32, f32, Sum, |v: i32| v as f32 * 0.5, items, init_f32);
-            check_raw_driver!(native::accumulate_min_f32, f32, Min, |v: i32| v as f32 * 0.5, items, init_f32);
-            check_raw_driver!(native::accumulate_max_f32, f32, Max, |v: i32| v as f32 * 0.5, items, init_f32);
-            check_raw_driver!(native::accumulate_add_i32, i32, Sum, |v: i32| v, items, init_i32);
-            check_raw_driver!(native::accumulate_min_i32, i32, Min, |v: i32| v, items, init_i32);
-            check_raw_driver!(native::accumulate_max_i32, i32, Max, |v: i32| v, items, init_i32);
+            check_raw_driver!(avx512::accumulate_add_f32, f32, Sum, |v: i32| v as f32 * 0.5, items, init_f32);
+            check_raw_driver!(avx512::accumulate_min_f32, f32, Min, |v: i32| v as f32 * 0.5, items, init_f32);
+            check_raw_driver!(avx512::accumulate_max_f32, f32, Max, |v: i32| v as f32 * 0.5, items, init_f32);
+            check_raw_driver!(avx512::accumulate_add_i32, i32, Sum, |v: i32| v, items, init_i32);
+            check_raw_driver!(avx512::accumulate_min_i32, i32, Min, |v: i32| v, items, init_i32);
+            check_raw_driver!(avx512::accumulate_max_i32, i32, Max, |v: i32| v, items, init_i32);
         }
 
         #[test]
@@ -641,7 +647,7 @@ mod raw {
             // SAFETY: availability checked above; indices in 0..24, lengths
             // match, shadow has the target's length.
             let nvectors = unsafe {
-                native::accumulate_add_f32_alg2(
+                avx512::accumulate_add_f32_alg2(
                     &mut nat, &mut shadow, &mut touched, &idx, &vals, &mut ndepth,
                 )
             };

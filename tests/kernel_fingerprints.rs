@@ -1,21 +1,31 @@
 //! Bit-level fingerprints of the scatter-add kernels (pagerank, spmv, euler,
-//! moldyn). Every variant runs from the registry on the portable backend at
-//! one thread, plus the scalar and in-vector engine rows at two threads that
-//! `run-all` runs. Each cell pins an FNV-1a hash of its result bits; the
+//! moldyn) and the wave-frontier kernels (sssp, sswp, bfs, wcc). Every
+//! variant runs from the registry on the portable backend at one thread,
+//! plus the scalar and in-vector engine rows at two threads that `run-all`
+//! runs. Each cell pins an FNV-1a hash of its result bits; the
 //! single-thread cells also pin the modeled instruction count, the masked
-//! utilization numerator/denominator and the conflict-depth buckets.
+//! utilization numerator/denominator and the conflict-depth buckets. Wave
+//! cells also pin the iteration count, and each wave app adds one row for
+//! its grouping-reuse realization.
 //!
 //! Any refactor of the kernel loops must leave every row unchanged: the
 //! pinned numbers are the paper's op sequences, not tolerances. At this
 //! size the masked euler and moldyn sweeps hit their gather-after-scatter
 //! starvation guards; the two guard rules waste a different number of
 //! rounds, which shows in the instruction counts and moldyn's utilization.
+//! On the wave engine rows only values and iterations are pinned: how a
+//! wave's relaxations are cut into tasks may change instructions and the
+//! frontier order, never the fixed point or the number of waves.
 
 use invector::core::BackendChoice;
+use invector::graph::datasets::{self, TEST_SCALE};
+use invector::graph::Frontier;
 use invector::harness::{registry, RunRecord, RunSpec};
-use invector::kernels::{ExecPolicy, Variant};
+use invector::kernels::relax::BfsRule;
+use invector::kernels::{sssp_reuse, sswp_reuse, wavefront, wcc_reuse, ExecPolicy, Variant};
 
 const APPS: [&str; 4] = ["pagerank", "spmv", "euler", "moldyn"];
+const WAVE_APPS: [&str; 4] = ["sssp", "sswp", "bfs", "wcc"];
 
 /// FNV-1a over the little-endian bytes of every value's bit pattern.
 fn fnv1a(values: &[f64]) -> u64 {
@@ -46,9 +56,10 @@ fn stats(r: &RunRecord) -> String {
     s
 }
 
-fn rows() -> Vec<Row> {
+/// The cells of `apps`; wave cells prefix their stats with `iters=N`.
+fn rows(apps: &[&str]) -> Vec<Row> {
     let mut out = Vec::new();
-    for app in APPS {
+    for &app in apps {
         let kernel = registry::find(app).expect("registered");
         let workload = kernel.prepare(&RunSpec::tiny()).expect("prepare");
         let mut policies: Vec<(Variant, ExecPolicy)> = Variant::ALL
@@ -63,16 +74,51 @@ fn rows() -> Vec<Row> {
         for (variant, policy) in policies {
             let r = workload.run(variant, &policy);
             let label = format!("{app} {} t={}", variant.short_name(), policy.threads);
+            let iters = if WAVE_APPS.contains(&app) { iters(r.iterations) } else { String::new() };
             if policy.threads == 1 {
-                out.push((label, fnv1a(&r.values), r.instructions, stats(&r)));
+                let st = format!("{iters} {}", stats(&r)).trim().to_string();
+                out.push((label, fnv1a(&r.values), r.instructions, st));
             } else {
-                // The instruction counter is per thread: only values are
-                // pinned on engine rows.
-                out.push((label, fnv1a(&r.values), 0, String::new()));
+                // The instruction counter is per thread: only values (and
+                // wave counts) are pinned on engine rows.
+                out.push((label, fnv1a(&r.values), 0, iters));
             }
         }
     }
     out
+}
+
+fn iters(n: u32) -> String {
+    format!("iters={n}")
+}
+
+/// One grouping-reuse row per wave app, on the graph and source the
+/// registry's tiny spec resolves to.
+fn reuse_rows() -> Vec<Row> {
+    let spec = RunSpec::tiny();
+    let graph = datasets::by_name(datasets::NAMES[0], TEST_SCALE).expect("dataset").graph;
+    let (source, max_iters) = (spec.source, spec.iters);
+    let row = |app: &str, values: Vec<f64>, iterations: u32, instructions: u64| {
+        (format!("{app} reuse t=1"), fnv1a(&values), instructions, iters(iterations))
+    };
+    let sssp = sssp_reuse(&graph, source, max_iters);
+    let sswp = sswp_reuse(&graph, source, max_iters);
+    let bfs = wavefront::run_reuse::<BfsRule>(&graph, max_iters, |vals, f: &mut Frontier| {
+        vals[source as usize] = 0;
+        f.insert(source);
+    });
+    let wcc = wcc_reuse(&graph, max_iters);
+    vec![
+        row("sssp", widen(&sssp.values), sssp.iterations, sssp.instructions),
+        row("sswp", widen(&sswp.values), sswp.iterations, sswp.instructions),
+        row("bfs", widen(&bfs.values), bfs.iterations, bfs.instructions),
+        row("wcc", widen(&wcc.values), wcc.iterations, wcc.instructions),
+    ]
+}
+
+/// Widens kernel values the way the harness records them (exactly).
+fn widen<T: Copy + Into<f64>>(values: &[T]) -> Vec<f64> {
+    values.iter().map(|&v| v.into()).collect()
 }
 
 #[rustfmt::skip]
@@ -105,15 +151,61 @@ const EXPECTED: &[(&str, u64, u64, &str)] = &[
     ("moldyn invec t=2", 0xb90eafd0c1ce5eb2, 0, ""),
 ];
 
+#[rustfmt::skip]
+const WAVE_EXPECTED: &[(&str, u64, u64, &str)] = &[
+    ("sssp serial t=1", 0xaff5a1b820335a99, 319510, "iters=5"),
+    ("sssp tiled t=1", 0xaff5a1b820335a99, 319510, "iters=5"),
+    ("sssp grouped t=1", 0xaff5a1b820335a99, 226145, "iters=5"),
+    ("sssp masked t=1", 0xaff5a1b820335a99, 161416, "iters=5 util=2026/39232"),
+    ("sssp invec t=1", 0xaff5a1b820335a99, 149031, "iters=5 depth=0:752,1:1080,2:507,3:99,4:13"),
+    ("sssp serial t=2", 0xaff5a1b820335a99, 0, "iters=5"),
+    ("sssp invec t=2", 0xaff5a1b820335a99, 0, "iters=5"),
+    ("sswp serial t=1", 0xdbf898334a88e723, 610325, "iters=10"),
+    ("sswp tiled t=1", 0xdbf898334a88e723, 610325, "iters=10"),
+    ("sswp grouped t=1", 0xdbf898334a88e723, 430649, "iters=10"),
+    ("sswp masked t=1", 0xdbf898334a88e723, 308929, "iters=10 util=2824/75344"),
+    ("sswp invec t=1", 0xdbf898334a88e723, 284729, "iters=10 depth=0:1483,1:2052,2:969,3:179,4:24"),
+    ("sswp serial t=2", 0xdbf898334a88e723, 0, "iters=10"),
+    ("sswp invec t=2", 0xdbf898334a88e723, 0, "iters=10"),
+    ("bfs serial t=1", 0x44f50d736eb472e8, 241823, "iters=4"),
+    ("bfs tiled t=1", 0x44f50d736eb472e8, 241823, "iters=4"),
+    ("bfs grouped t=1", 0x44f50d736eb472e8, 145250, "iters=4"),
+    ("bfs masked t=1", 0x44f50d736eb472e8, 107582, "iters=4 util=813/29968"),
+    ("bfs invec t=1", 0x44f50d736eb472e8, 97713, "iters=4 depth=0:590,1:843,2:370,3:61,4:8"),
+    ("bfs serial t=2", 0x44f50d736eb472e8, 0, "iters=4"),
+    ("bfs invec t=2", 0x44f50d736eb472e8, 0, "iters=4"),
+    ("wcc serial t=1", 0x95bf3bfffdc63b35, 950119, "iters=3"),
+    ("wcc tiled t=1", 0x95bf3bfffdc63b35, 950119, "iters=3"),
+    ("wcc grouped t=1", 0x95bf3bfffdc63b35, 561038, "iters=3"),
+    ("wcc masked t=1", 0x95bf3bfffdc63b35, 422825, "iters=3 util=1133/118368"),
+    ("wcc invec t=1", 0x95bf3bfffdc63b35, 385513, "iters=3 depth=0:2295,1:3230,2:1529,3:307,4:36"),
+    ("wcc serial t=2", 0x95bf3bfffdc63b35, 0, "iters=3"),
+    ("wcc invec t=2", 0x95bf3bfffdc63b35, 0, "iters=3"),
+    ("sssp reuse t=1", 0xaff5a1b820335a99, 393758, "iters=5"),
+    ("sswp reuse t=1", 0xdbf898334a88e723, 829602, "iters=10"),
+    ("bfs reuse t=1", 0x44f50d736eb472e8, 261393, "iters=4"),
+    ("wcc reuse t=1", 0x95bf3bfffdc63b35, 638971, "iters=3"),
+];
+
 #[test]
 fn scatter_add_kernels_are_bit_identical() {
-    let got = rows();
+    check(&rows(&APPS), EXPECTED);
+}
+
+#[test]
+fn wave_frontier_kernels_are_bit_identical() {
+    let mut got = rows(&WAVE_APPS);
+    got.extend(reuse_rows());
+    check(&got, WAVE_EXPECTED);
+}
+
+fn check(got: &[Row], expected: &[(&str, u64, u64, &str)]) {
     let table: String = got
         .iter()
         .map(|(l, h, i, s)| format!("    (\"{l}\", 0x{h:016x}, {i}, \"{s}\"),\n"))
         .collect();
-    assert_eq!(got.len(), EXPECTED.len(), "cell count; actual table:\n{table}");
-    for ((label, hash, instr, st), &(el, eh, ei, es)) in got.iter().zip(EXPECTED) {
+    assert_eq!(got.len(), expected.len(), "cell count; actual table:\n{table}");
+    for ((label, hash, instr, st), &(el, eh, ei, es)) in got.iter().zip(expected) {
         assert_eq!(label, el, "actual table:\n{table}");
         assert_eq!(*hash, eh, "{label}: value bits; actual table:\n{table}");
         assert_eq!(st, es, "{label}: utilization/depth; actual table:\n{table}");

@@ -6,7 +6,7 @@
 //! as a library application beyond the paper's evaluated set; the registry
 //! lists it alongside SSSP/SSWP/WCC.
 
-use invector_graph::EdgeList;
+use invector_graph::{EdgeList, Frontier};
 
 use crate::common::{RunResult, Variant};
 use crate::relax::BfsRule;
@@ -30,10 +30,7 @@ use crate::wavefront;
 /// assert_eq!(r.values, vec![0, 1, 1, i32::MAX]);
 /// ```
 pub fn bfs(graph: &EdgeList, source: i32, variant: Variant, max_iters: u32) -> RunResult<i32> {
-    wavefront::run::<BfsRule>(graph, variant, max_iters, |vals, frontier| {
-        vals[source as usize] = 0;
-        frontier.insert(source);
-    })
+    wavefront::run::<BfsRule>(graph, variant, max_iters, seed(source))
 }
 
 /// Runs BFS with each wave's relaxations distributed over the execution
@@ -46,10 +43,15 @@ pub fn bfs_with_policy(
     max_iters: u32,
     policy: &crate::common::ExecPolicy,
 ) -> RunResult<i32> {
-    wavefront::run_with_policy::<BfsRule>(graph, variant, max_iters, policy, |vals, frontier| {
+    wavefront::run_with_policy::<BfsRule>(graph, variant, max_iters, policy, seed(source))
+}
+
+/// Seeds `source` at hop 0, the only active vertex.
+fn seed(source: i32) -> impl FnOnce(&mut [i32], &mut Frontier) {
+    move |vals, frontier| {
         vals[source as usize] = 0;
         frontier.insert(source);
-    })
+    }
 }
 
 #[cfg(test)]

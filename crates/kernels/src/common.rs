@@ -130,13 +130,6 @@ impl Variant {
         self == Variant::Grouped
     }
 
-    /// `true` for the variants whose conflict handling is stream-local and
-    /// therefore composes with the execution engine's partitioning (the
-    /// grouped and masked strategies keep whole-array inspector state).
-    pub fn runs_on_engine(self) -> bool {
-        !matches!(self, Variant::Grouped | Variant::Masked)
-    }
-
     /// The in-worker reduction strategy the execution engine runs when this
     /// variant is parallelised. The scalar baselines stay scalar; the
     /// vectorized variants all map to in-vector reduction, because the
@@ -168,7 +161,8 @@ pub struct Timings {
     pub grouping: Duration,
     /// Execution-engine partitioning time (building / rebuilding the
     /// [`ExecPlan`](invector_core::exec::ExecPlan) for parallel runs; zero
-    /// for single-threaded runs).
+    /// for single-threaded runs and for runs that cut the stream into
+    /// chunks instead of planning).
     pub partition: Duration,
     /// Computation (executor) time.
     pub compute: Duration,
@@ -234,8 +228,6 @@ mod tests {
         assert!(Variant::Masked.records_utilization());
         assert!(Variant::Invec.records_depth());
         assert!(Variant::Grouped.needs_grouping());
-        assert!(!Variant::Grouped.runs_on_engine() && !Variant::Masked.runs_on_engine());
-        assert!(Variant::Serial.runs_on_engine() && Variant::Invec.runs_on_engine());
     }
 
     #[test]

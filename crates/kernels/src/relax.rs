@@ -74,11 +74,17 @@ pub const SERIAL_EDGE_COST: u64 = 8;
 pub const SERIAL_IMPROVE_COST: u64 = 3;
 
 /// Scalar relaxation over `positions` (the serial baseline).
+///
+/// `new_vals` and `next` are indexed by destination minus `base`, so a
+/// private window over destinations `base..` takes the relaxations of a
+/// slice of the stream; `vals` is indexed by the global source id.
+#[allow(clippy::too_many_arguments)]
 pub fn relax_serial<R: RelaxRule>(
     positions: &[u32],
     src: &[i32],
     dst: &[i32],
     weight: &[f32],
+    base: i32,
     vals: &[R::Value],
     new_vals: &mut [R::Value],
     next: &mut Frontier,
@@ -87,11 +93,11 @@ pub fn relax_serial<R: RelaxRule>(
     for &p in positions {
         let p = p as usize;
         let nx = src[p] as usize;
-        let ny = dst[p] as usize;
+        let ny = dst[p] - base;
         let cand = R::candidate(vals[nx], weight[p]);
-        if R::improves(cand, new_vals[ny]) {
-            new_vals[ny] = cand;
-            next.insert(dst[p]);
+        if R::improves(cand, new_vals[ny as usize]) {
+            new_vals[ny as usize] = cand;
+            next.insert(ny);
             improved += 1;
         }
     }
@@ -121,6 +127,9 @@ fn gather_edge<R: RelaxRule>(
 
 /// In-vector-reduction relaxation: 16 edges per vector, conflicts folded
 /// with `invec_min`/`invec_max` before one conflict-free masked scatter.
+///
+/// Destinations are rebased by `base` in-register, as in [`relax_serial`];
+/// a zero base emits no rebase.
 #[allow(clippy::too_many_arguments)]
 pub fn relax_invec<R: RelaxRule>(
     backend: Backend,
@@ -128,16 +137,19 @@ pub fn relax_invec<R: RelaxRule>(
     src: &[i32],
     dst: &[i32],
     weight: &[f32],
+    base: i32,
     vals: &[R::Value],
     new_vals: &mut [R::Value],
     next: &mut Frontier,
     depth: &mut DepthHistogram,
 ) {
     let pos = positions_as_i32(positions);
+    let vbase = (base != 0).then(|| I32x16::splat(base));
     let mut j = 0;
     while j < pos.len() {
         let (vpos, active) = I32x16::load_partial(&pos[j..], 0);
         let (vny, vsrc, vw) = gather_edge::<R>(active, vpos, src, dst, weight, vals);
+        let vny = vbase.map_or(vny, |vbase| vny - vbase);
         let mut cand = R::candidate_vec(vsrc, vw);
         let (safe, d) = reduce_alg1_with::<R::Value, R::Op, 16>(backend, active, vny, &mut cand);
         depth.record(d);
@@ -357,7 +369,7 @@ mod tests {
 
         let mut nv1 = init_new.to_vec();
         let mut f1 = Frontier::new(nv);
-        relax_serial::<R>(&positions, src, dst, weight, vals, &mut nv1, &mut f1);
+        relax_serial::<R>(&positions, src, dst, weight, 0, vals, &mut nv1, &mut f1);
         outs.push((nv1, sorted(f1)));
 
         let mut nv2 = init_new.to_vec();
@@ -369,6 +381,7 @@ mod tests {
             src,
             dst,
             weight,
+            0,
             vals,
             &mut nv2,
             &mut f2,
@@ -517,6 +530,7 @@ mod tests {
             &src,
             &dst,
             &w,
+            0,
             &vals,
             &mut nv,
             &mut f,
@@ -540,7 +554,7 @@ mod tests {
         let expect = {
             let mut nv = vals.clone();
             let mut f = Frontier::new(4);
-            relax_serial::<SsspRule>(&positions, &src, &dst, &w, &vals, &mut nv, &mut f);
+            relax_serial::<SsspRule>(&positions, &src, &dst, &w, 0, &vals, &mut nv, &mut f);
             nv
         };
         assert_eq!(expect, vec![0.0, 4.0, 9.0, 3.0]);
@@ -560,6 +574,7 @@ mod tests {
             &src,
             &dst,
             &w,
+            0,
             &vals,
             &mut nv,
             &mut f,

@@ -1,6 +1,6 @@
 //! Wave-frontier Single-Source Shortest Path (Figure 2, Figure 9).
 
-use invector_graph::EdgeList;
+use invector_graph::{EdgeList, Frontier};
 
 use crate::common::{RunResult, Variant};
 use crate::relax::SsspRule;
@@ -26,20 +26,14 @@ use crate::wavefront;
 /// assert_eq!(r.values, vec![0.0, 2.0, 4.5]);
 /// ```
 pub fn sssp(graph: &EdgeList, source: i32, variant: Variant, max_iters: u32) -> RunResult<f32> {
-    wavefront::run::<SsspRule>(graph, variant, max_iters, |vals, frontier| {
-        vals[source as usize] = 0.0;
-        frontier.insert(source);
-    })
+    wavefront::run::<SsspRule>(graph, variant, max_iters, seed(source))
 }
 
 /// Runs SSSP with the grouping-**reuse** technique (one-time grouping +
 /// per-iteration window activation; see
 /// [`wavefront::run_reuse`](crate::wavefront::run_reuse)).
 pub fn sssp_reuse(graph: &EdgeList, source: i32, max_iters: u32) -> RunResult<f32> {
-    wavefront::run_reuse::<SsspRule>(graph, max_iters, |vals, frontier| {
-        vals[source as usize] = 0.0;
-        frontier.insert(source);
-    })
+    wavefront::run_reuse::<SsspRule>(graph, max_iters, seed(source))
 }
 
 /// Runs SSSP with each wave's relaxations distributed over the execution
@@ -52,10 +46,15 @@ pub fn sssp_with_policy(
     max_iters: u32,
     policy: &crate::common::ExecPolicy,
 ) -> RunResult<f32> {
-    wavefront::run_with_policy::<SsspRule>(graph, variant, max_iters, policy, |vals, frontier| {
+    wavefront::run_with_policy::<SsspRule>(graph, variant, max_iters, policy, seed(source))
+}
+
+/// Seeds `source` at distance 0, the only active vertex.
+fn seed(source: i32) -> impl FnOnce(&mut [f32], &mut Frontier) {
+    move |vals, frontier| {
         vals[source as usize] = 0.0;
         frontier.insert(source);
-    })
+    }
 }
 
 #[cfg(test)]

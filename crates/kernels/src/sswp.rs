@@ -5,7 +5,7 @@
 //! min(width[nx], w))`. The reduction operator is `max` — `invec_max` in
 //! the paper's API.
 
-use invector_graph::EdgeList;
+use invector_graph::{EdgeList, Frontier};
 
 use crate::common::{RunResult, Variant};
 use crate::relax::SswpRule;
@@ -30,19 +30,13 @@ use crate::wavefront;
 /// assert_eq!(r.values[2], 3.0);
 /// ```
 pub fn sswp(graph: &EdgeList, source: i32, variant: Variant, max_iters: u32) -> RunResult<f32> {
-    wavefront::run::<SswpRule>(graph, variant, max_iters, |vals, frontier| {
-        vals[source as usize] = f32::INFINITY;
-        frontier.insert(source);
-    })
+    wavefront::run::<SswpRule>(graph, variant, max_iters, seed(source))
 }
 
 /// Runs SSWP with the grouping-**reuse** technique (see
 /// [`wavefront::run_reuse`](crate::wavefront::run_reuse)).
 pub fn sswp_reuse(graph: &EdgeList, source: i32, max_iters: u32) -> RunResult<f32> {
-    wavefront::run_reuse::<SswpRule>(graph, max_iters, |vals, frontier| {
-        vals[source as usize] = f32::INFINITY;
-        frontier.insert(source);
-    })
+    wavefront::run_reuse::<SswpRule>(graph, max_iters, seed(source))
 }
 
 /// Runs SSWP with each wave's relaxations distributed over the execution
@@ -55,10 +49,15 @@ pub fn sswp_with_policy(
     max_iters: u32,
     policy: &crate::common::ExecPolicy,
 ) -> RunResult<f32> {
-    wavefront::run_with_policy::<SswpRule>(graph, variant, max_iters, policy, |vals, frontier| {
+    wavefront::run_with_policy::<SswpRule>(graph, variant, max_iters, policy, seed(source))
+}
+
+/// Seeds `source` at infinite width, the only active vertex.
+fn seed(source: i32) -> impl FnOnce(&mut [f32], &mut Frontier) {
+    move |vals, frontier| {
         vals[source as usize] = f32::INFINITY;
         frontier.insert(source);
-    })
+    }
 }
 
 #[cfg(test)]

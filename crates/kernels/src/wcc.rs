@@ -7,7 +7,7 @@
 //! graph is symmetrized once up front (shared input preparation, not charged
 //! to any variant).
 
-use invector_graph::EdgeList;
+use invector_graph::{EdgeList, Frontier};
 
 use crate::common::{RunResult, Variant};
 use crate::relax::WccRule;
@@ -27,25 +27,13 @@ use crate::wavefront;
 /// assert_eq!(r.values, vec![0, 0, 2, 2]);
 /// ```
 pub fn wcc(graph: &EdgeList, variant: Variant, max_iters: u32) -> RunResult<i32> {
-    let sym = graph.symmetrized();
-    wavefront::run::<WccRule>(&sym, variant, max_iters, |vals, frontier| {
-        for (v, val) in vals.iter_mut().enumerate() {
-            *val = v as i32;
-            frontier.insert(v as i32);
-        }
-    })
+    on_symmetrized(graph, |sym| wavefront::run::<WccRule>(sym, variant, max_iters, seed))
 }
 
 /// Runs WCC with the grouping-**reuse** technique (see
 /// [`wavefront::run_reuse`](crate::wavefront::run_reuse)).
 pub fn wcc_reuse(graph: &EdgeList, max_iters: u32) -> RunResult<i32> {
-    let sym = graph.symmetrized();
-    wavefront::run_reuse::<WccRule>(&sym, max_iters, |vals, frontier| {
-        for (v, val) in vals.iter_mut().enumerate() {
-            *val = v as i32;
-            frontier.insert(v as i32);
-        }
-    })
+    on_symmetrized(graph, |sym| wavefront::run_reuse::<WccRule>(sym, max_iters, seed))
 }
 
 /// Runs WCC with each wave's label propagations distributed over the
@@ -57,13 +45,22 @@ pub fn wcc_with_policy(
     max_iters: u32,
     policy: &crate::common::ExecPolicy,
 ) -> RunResult<i32> {
-    let sym = graph.symmetrized();
-    wavefront::run_with_policy::<WccRule>(&sym, variant, max_iters, policy, |vals, frontier| {
-        for (v, val) in vals.iter_mut().enumerate() {
-            *val = v as i32;
-            frontier.insert(v as i32);
-        }
+    on_symmetrized(graph, |sym| {
+        wavefront::run_with_policy::<WccRule>(sym, variant, max_iters, policy, seed)
     })
+}
+
+/// Hands `run` the symmetrized graph: weak connectivity ignores direction.
+fn on_symmetrized<T>(graph: &EdgeList, run: impl FnOnce(&EdgeList) -> T) -> T {
+    run(&graph.symmetrized())
+}
+
+/// Labels every vertex with its own id, all of them active.
+fn seed(labels: &mut [i32], frontier: &mut Frontier) {
+    for (v, label) in labels.iter_mut().enumerate() {
+        *label = v as i32;
+        frontier.insert(v as i32);
+    }
 }
 
 #[cfg(test)]

@@ -59,10 +59,9 @@ pub fn simulate(initial: &Molecules, variant: Variant, iterations: u32) -> SimRe
 
 /// [`simulate`] with an explicit [`ExecPolicy`]: when `policy.threads > 1`
 /// the force phase fans out over the persistent thread pool, with the
-/// per-worker strategy still chosen by `variant`. Grouped and masked
-/// variants keep their single-threaded strategies (their conflict-resolution
-/// state is whole-array — [`Variant::runs_on_engine`]), so thread counts
-/// apply to the serial and in-vector paths.
+/// per-worker strategy chosen by [`Variant::exec_variant`]: the scalar
+/// baselines stay scalar, and the vectorized variants (grouped and masked
+/// included) run in-vector workers, as every other kernel's engine does.
 ///
 /// # Panics
 ///
@@ -81,7 +80,7 @@ pub fn simulate_with_policy(
     let mut compute_time = Duration::ZERO;
     let mut pairs = PairList::default();
     // Strategy and backend resolved once per run.
-    let engine = (policy.threads > 1 && variant.runs_on_engine()).then_some(policy);
+    let engine = (policy.threads > 1).then_some(policy);
     let mut map = EdgeMap::new(variant, policy.backend.resolve(), engine);
     let instr_before = invector_simd::count::read();
 

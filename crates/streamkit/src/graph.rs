@@ -469,6 +469,7 @@ impl WccEngine {
                     &src,
                     &dst,
                     &weight,
+                    0,
                     &vals,
                     &mut new_vals,
                     &mut next,
@@ -480,6 +481,7 @@ impl WccEngine {
                     &src,
                     &dst,
                     &weight,
+                    0,
                     &vals,
                     &mut new_vals,
                     &mut next,
